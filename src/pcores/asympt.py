@@ -200,19 +200,13 @@ def leading_constant(p: int, variant: str,
     if variant == "iii":
         return cotangent_char_sum_raw(r, p, config)
     if variant == "iv":
-        total = sum(legendre_symbol(j, p) * bernoulli_poly(half, Fraction(j, p))
-                    for j in range(1, p))
-        return -legendre_symbol(-2, p) * Fraction(p ** half, p - 1) * total
+        return -legendre_symbol(-2, p) * (-1) ** ((r - 1) // 2) \
+            * bernoulli_char_sum(r, p)
     if p % 4 != 3:
         raise ValueError("variants v and vi require p = 3 mod 4")
     if variant == "v":
-        total = ctx.fsum(cot_derivative(r, Fraction(j * j % p, p), config)
-                         for j in range(1, half + 1))
-        return ctx.sqrt(p) / 2 ** (r + 1) * total
-    total = sum(bernoulli_poly(r + 1, Fraction(j * j % p, p))
-                for j in range(1, half + 1))
-    sign = -((-1) ** ((r + 1) // 2)) * legendre_symbol(-1, p)
-    return sign * Fraction(p ** (r + 1), r + 1) * total
+        return _quadratic_cotangent_side(r, p, config)
+    return _quadratic_bernoulli_side(r, p)
 
 
 @dataclass
@@ -296,6 +290,23 @@ def cotangent_char_sum(r: int, p: int,
     return snap_integer(raw, config, label=f"cotangent sum (r={r}, p={p})")
 
 
+def _quadratic_cotangent_side(r: int, p: int, config: PrecisionConfig):
+    """sqrt(p) * 2^-(r+1) * sum_{j<=(p-1)/2} cot^(r)(pi*(j^2 mod p)/p)."""
+    ctx = config.context()
+    return ctx.sqrt(p) / 2 ** (r + 1) * ctx.fsum(
+        cot_derivative(r, Fraction(j * j % p, p), config)
+        for j in range(1, (p - 1) // 2 + 1))
+
+
+def _quadratic_bernoulli_side(r: int, p: int) -> Fraction:
+    """-(-1)^floor((r+1)/2) * (-1|p) * p^(r+1)/(r+1)
+    * sum_{j<=(p-1)/2} B_(r+1)((j^2 mod p)/p), the exact companion."""
+    total = sum(bernoulli_poly(r + 1, Fraction(j * j % p, p))
+                for j in range(1, (p - 1) // 2 + 1))
+    sign = -((-1) ** ((r + 1) // 2)) * legendre_symbol(-1, p)
+    return sign * Fraction(p ** (r + 1), r + 1) * total
+
+
 def quadratic_sawtooth_sum(p: int) -> Fraction:
     """Exact sum of ((j^2/p)) over j = 1..p-1; an integer for p = 3 mod 4,
     zero by symmetry for p = 1 mod 4."""
@@ -376,6 +387,8 @@ def verify_ramanujan_identity(p: int, kmax: int, nmax: int,
                               config: PrecisionConfig = DEFAULT_PRECISION) -> ConjectureReport:
     """Check exp_sum(p,k,n) = (k|p) * c_k(n + (p^2-1)/24) over a full sweep."""
     _require_p(p)
+    if kmax < 1 or nmax < 0:
+        raise ValueError("need kmax >= 1 and nmax >= 0")
     shift = _shift(p)
     counterexamples = []
     worst = 0.0
@@ -406,6 +419,8 @@ def verify_dedekind_parity(p: int, kmax: int) -> ConjectureReport:
 
     is an integer whose parity is even exactly when (k|p) = 1."""
     _require_p(p)
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
     counterexamples = []
     checked = 0
     for k in range(1, kmax + 1):
@@ -613,16 +628,9 @@ def verify_quadratic_trig_identity(r: int, p: int,
         raise ValueError("the identity is coherent only for p = 3 mod 4")
     if gcd(p, r + 1) != 1:
         raise ValueError("need gcd(p, r+1) = 1")
-    ctx = config.context()
-    half = (p - 1) // 2
-    raw = ctx.sqrt(p) / 2 ** (r + 1) * ctx.fsum(
-        cot_derivative(r, Fraction(j * j % p, p), config)
-        for j in range(1, half + 1))
-    lhs = snap_integer(raw, config, label=f"cotangent side (r={r}, p={p})")
-    total = sum(bernoulli_poly(r + 1, Fraction(j * j % p, p))
-                for j in range(1, half + 1))
-    sign = -((-1) ** ((r + 1) // 2)) * legendre_symbol(-1, p)
-    rhs = sign * Fraction(p ** (r + 1), r + 1) * total
+    lhs = snap_integer(_quadratic_cotangent_side(r, p, config), config,
+                       label=f"cotangent side (r={r}, p={p})")
+    rhs = _quadratic_bernoulli_side(r, p)
     magnitude_match = rhs.denominator == 1 and abs(lhs.nearest) == abs(rhs)
     lhs_sign = 1 if lhs.nearest > 0 else (-1 if lhs.nearest < 0 else 0)
     rhs_sign = 1 if rhs > 0 else (-1 if rhs < 0 else 0)

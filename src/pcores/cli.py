@@ -2,13 +2,15 @@
 
 Subcommands map onto the library: exact counts and series, asymptotic
 estimates, the leading constant, character sums, class numbers, and the
-verify family of identity checks.  Every command renders a single result
-envelope {command, parameters, precision, values, residuals, pass} as
-text, JSON, or CSV, written to stdout in one atomic write.
+verify family of identity checks, each one row of COMMANDS.  Every
+command renders a single result envelope {command, parameters, precision,
+values, residuals, pass} as text, JSON, or CSV, written to stdout in one
+atomic write.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 precision failure.  Big integers and high-precision reals are rendered
-as decimal strings so output is exact and byte-identical across runs.
+3 precision failure, 4 cache I/O failure.  Big integers and
+high-precision reals are rendered as decimal strings so output is exact
+and byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import cache
 from .arith import is_prime
@@ -38,6 +41,253 @@ DEFAULT_DIGITS = 60
 PRECISION_ENV = "PCORE_PREC"
 
 
+def _resolve_precision(args) -> PrecisionConfig:
+    if args.prec is not None:
+        return PrecisionConfig.for_digits(args.prec)
+    raw = os.environ.get(PRECISION_ENV, str(DEFAULT_DIGITS)).strip()
+    unsigned = raw[1:] if raw[:1] in "+-" else raw
+    if not unsigned.isdigit():
+        raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}")
+    return PrecisionConfig.for_digits(int(raw))
+
+
+def _number_str(value, config: PrecisionConfig) -> str:
+    """Exact decimal for integers and Fractions, nstr for mp values."""
+    if isinstance(value, (int, Fraction)):
+        return str(value)
+    ctx = config.context()
+    return ctx.nstr(ctx.convert(value), config.decimal_digits)
+
+
+def _require_prime(p: int) -> None:
+    if p < 2 or not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+
+
+# Shaping functions map (args, config), args holding exactly the parameters,
+# to JSON-serializable (values, residuals, passed).  They call the library by
+# this module's global names, which tracers rebind.
+
+def _count(args, config):
+    _require_prime(args.p)
+    if args.n < 0:
+        raise ValueError("n must be >= 0")
+    return {"count": str(pcore_count(args.p, args.n))}, {}, True
+
+
+def _series(args, config):
+    _require_prime(args.p)
+    if args.max_n < 0:
+        raise ValueError("max-n must be >= 0")
+    coeffs = pcore_series(args.p, args.max_n).coefficients
+    return {"counts": [[n, str(c)] for n, c in enumerate(coeffs)]}, {}, True
+
+
+def _approx_parameters(parameters):
+    # the truncation depth keys only the singular series
+    if parameters["method"] != "singular":
+        del parameters["kmax"]
+
+
+def _approx(args, config):
+    if args.method == "singular":
+        report = approx_singular_series(args.p, args.n, args.kmax, config)
+    else:
+        report = approx_divisor_sum(args.p, args.n, config)
+    values = {"estimate": _number_str(report.estimate, config)}
+    if report.divisor_sum is not None:
+        values["divisor_sum"] = str(report.divisor_sum)
+        values["constant"] = str(report.constant)
+    residuals = {}
+    if report.exact is not None:
+        values["exact"] = str(report.exact)
+        if report.relative_error is not None:
+            residuals["relative_error"] = report.relative_error
+    return values, residuals, True
+
+
+def _cp(args, config):
+    if args.variant == "all":
+        report = leading_constant_report(args.p, config)
+        values = {"consensus": str(report.consensus),
+                  "values": {name: _number_str(v, config)
+                             for name, v in report.values.items()},
+                  "signs": report.signs}
+        return values, dict(report.residuals), True
+    value = leading_constant(args.p, args.variant, config)
+    return {"variant": args.variant,
+            "value": _number_str(value, config)}, {}, True
+
+
+def _trig(args, config):
+    exact = bernoulli_char_sum(args.r, args.p)
+    snapped = cotangent_char_sum(args.r, args.p, config)
+    passed = exact.denominator == 1 and snapped.nearest == exact
+    values = {"bernoulli_sum": _number_str(exact, config),
+              "cotangent_sum": str(snapped.nearest)}
+    return values, {"snap": snapped.residual}, passed
+
+
+def _classnum(args, config):
+    value = class_number(args.p, args.method, config)
+    return {"class_number": str(value), "method": args.method}, {}, True
+
+
+def _ramanujan_identity(args, config):
+    report = verify_ramanujan_identity(args.p, args.kmax, args.nmax, config)
+    values = {"checked": report.checked,
+              "counterexamples": report.counterexamples}
+    return values, {"worst": report.worst_residual}, report.passed
+
+
+def _dedekind_parity(args, config):
+    report = verify_dedekind_parity(args.p, args.kmax)
+    values = {"checked": report.checked,
+              "counterexamples": report.counterexamples}
+    return values, {}, report.passed
+
+
+def _dirichlet_series(args, config):
+    report = verify_dirichlet_series(args.p, args.s, args.n, args.kmax, config)
+    values = {"partial_sum": _number_str(report.partial_sum, config),
+              "closed_form": _number_str(report.closed_form, config),
+              "tail_bound": report.tail_bound,
+              "tolerance": report.tolerance}
+    return values, {"deviation": report.deviation}, report.passed
+
+
+def _eta_transform(args, config):
+    case = TransformCase(p=args.p, h=args.h, k=args.k, t=args.t,
+                         factors=args.factors)
+    report = verify_eta_transform(case, config, args.tolerance)
+    values = {"lhs": _number_str(report.lhs, config),
+              "rhs": _number_str(report.rhs, config),
+              "exponent": report.exponent,
+              "truncation_bound": report.truncation_bound,
+              "alt_exponent_deviation": report.alt_exponent_deviation,
+              "tolerance": report.tolerance}
+    residuals = {"relative_deviation": report.relative_deviation}
+    return values, residuals, report.passed
+
+
+def _fft(args, config):
+    table = verify_transform_table(
+        kmax=args.kmax, rmax=args.rmax, smax=args.smax, pmax=args.pmax,
+        grids=args.grids, grid_kmax=args.grid_kmax, config=config)
+    failures = [{"name": row.name, "k": row.k, "parameters": row.parameters,
+                 "deviation": row.max_deviation} for row in table.failed_rows]
+    values = {"rows_checked": len(table.rows),
+              "row_failures": failures,
+              "max_row_deviation": table.max_row_deviation,
+              "parseval_max": table.parseval_max,
+              "involution_max": table.involution_max,
+              "grid_tolerance": table.grid_tolerance,
+              "grids": table.grids}
+    return values, {}, table.passed
+
+
+def _trig_identity(args, config):
+    report = verify_quadratic_trig_identity(args.r, args.p, config)
+    values = {"cotangent_side": str(report.lhs.nearest),
+              "bernoulli_side": _number_str(report.rhs, config),
+              "relative_sign": report.relative_sign,
+              "magnitude_match": report.magnitude_match}
+    return values, {"snap": report.lhs.residual}, report.passed
+
+
+def _divisibility_parameters(parameters):
+    # by default scan up to the first non-integer value when that is cheap
+    if parameters["rmax"] is None:
+        first = parameters["p"] * (parameters["p"] - 1) // 2 - 1
+        parameters["rmax"] = first if first <= 100 else 15
+
+
+def _divisibility(args, config):
+    report = divisibility_scan(args.p, args.rmax)
+    rows = [{"r": row.r, "integer": row.is_integer, "zero": row.is_zero,
+             "exempt": row.exempt, "divisible": row.divisible}
+            for row in report.rows]
+    values = {"first_non_integer": report.first_non_integer,
+              "expected_first_non_integer": report.expected_first_non_integer,
+              "divisibility_holds": report.divisibility_holds,
+              "first_failure_holds": report.first_failure_holds,
+              "rows": rows}
+    return values, {}, report.passed
+
+
+class Command(NamedTuple):
+    """A leaf command.  ``arguments`` are (flag, argparse keywords) pairs;
+    the parameters, which key the cache, are those arguments by argparse
+    dest, edited in place by ``fix`` where the row has one."""
+
+    name: str
+    help: str
+    arguments: tuple
+    shape: Callable
+    fix: Callable | None = None
+
+
+def _required(flag: str):
+    return flag, dict(type=int, required=True)
+
+
+def _option(flag: str, default, type=int, **extra):
+    return flag, dict(type=type, default=default, **extra)
+
+
+COMMANDS = (
+    Command("count", "exact number of p-core partitions of n",
+            (_required("--p"), _required("--n")), _count),
+    Command("series", "all p-core counts for n = 0..max-n",
+            (_required("--p"), _required("--max-n")), _series),
+    Command("approx", "asymptotic estimate of the count",
+            (_required("--p"), _required("--n"),
+             ("--method", dict(choices=("singular", "divisor"),
+                               required=True)),
+             _option("--kmax", 50,
+                     help="singular-series truncation (default: 50)")),
+            _approx, fix=_approx_parameters),
+    Command("cp", "leading constant of the divisor-sum estimate",
+            (_required("--p"),
+             ("--variant", dict(choices=VARIANTS + ("all",), default="all"))),
+            _cp),
+    Command("trig", "Bernoulli and cotangent character sums",
+            (_required("--r"), _required("--p")), _trig),
+    Command("classnum", "class number h(-p) for p = 3 mod 4",
+            (_required("--p"),
+             ("--method", dict(choices=CLASS_NUMBER_METHODS + ("all",),
+                               default="all"))),
+            _classnum),
+    Command("verify ramanujan-identity", "exponential sums vs Ramanujan sums",
+            (_required("--p"), _option("--kmax", 30), _option("--nmax", 30)),
+            _ramanujan_identity),
+    Command("verify dedekind-parity",
+            "integrality and parity of Dedekind-sum deltas",
+            (_required("--p"), _option("--kmax", 60)), _dedekind_parity),
+    Command("verify dirichlet-series",
+            "twisted divisor Dirichlet series closed form",
+            (_required("--p"), _option("--s", 2), _option("--n", 1),
+             _option("--kmax", 10000)),
+            _dirichlet_series),
+    Command("verify eta-transform",
+            "modular transformation of the core product",
+            (_option("--p", 5), _option("--h", 1), _option("--k", 2),
+             _option("--t", 0.5, float), _option("--factors", 400),
+             _option("--tolerance", 1e-12, float)),
+            _eta_transform),
+    Command("verify fft", "finite Fourier transform table",
+            (_option("--kmax", 13), _option("--rmax", 6), _option("--smax", 6),
+             _option("--pmax", 97), _option("--grids", 100),
+             _option("--grid-kmax", 64)),
+            _fft),
+    Command("verify trig-identity", "quadratic-argument cotangent identity",
+            (_required("--r"), _required("--p")), _trig_identity),
+    Command("verify divisibility", "divisibility pattern of Bernoulli sums",
+            (_required("--p"), _option("--rmax", None)),
+            _divisibility, fix=_divisibility_parameters),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--prec", type=int, default=None, metavar="DIGITS",
@@ -52,348 +302,19 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="pcore",
         description="p-core partition counts, circle-method asymptotics, "
                     "and identity verification")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("count", parents=[common],
-                        help="exact number of p-core partitions of n")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-
-    sp = sub.add_parser("series", parents=[common],
-                        help="all p-core counts for n = 0..max-n")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--max-n", type=int, required=True, dest="max_n")
-
-    sp = sub.add_parser("approx", parents=[common],
-                        help="asymptotic estimate of the count")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--method", choices=("singular", "divisor"), required=True)
-    sp.add_argument("--kmax", type=int, default=None,
-                    help="singular-series truncation (default: 50)")
-
-    sp = sub.add_parser("cp", parents=[common],
-                        help="leading constant of the divisor-sum estimate")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--variant", choices=VARIANTS + ("all",), default="all")
-
-    sp = sub.add_parser("trig", parents=[common],
-                        help="Bernoulli and cotangent character sums")
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-
-    sp = sub.add_parser("classnum", parents=[common],
-                        help="class number h(-p) for p = 3 mod 4")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--method", choices=CLASS_NUMBER_METHODS + ("all",),
-                    default="all")
-
-    vp = sub.add_parser("verify", help="machine checks of the identities")
-    vsub = vp.add_subparsers(dest="check", required=True)
-
-    sp = vsub.add_parser("ramanujan-identity", parents=[common],
-                         help="exponential sums vs Ramanujan sums")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--kmax", type=int, default=30)
-    sp.add_argument("--nmax", type=int, default=30)
-
-    sp = vsub.add_parser("dedekind-parity", parents=[common],
-                         help="integrality and parity of Dedekind-sum deltas")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--kmax", type=int, default=60)
-
-    sp = vsub.add_parser("dirichlet-series", parents=[common],
-                         help="twisted divisor Dirichlet series closed form")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--s", type=int, default=2)
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--kmax", type=int, default=10000)
-
-    sp = vsub.add_parser("eta-transform", parents=[common],
-                         help="modular transformation of the core product")
-    sp.add_argument("--p", type=int, default=5)
-    sp.add_argument("--h", type=int, default=1)
-    sp.add_argument("--k", type=int, default=2)
-    sp.add_argument("--t", type=float, default=0.5)
-    sp.add_argument("--factors", type=int, default=400)
-    sp.add_argument("--tolerance", type=float, default=1e-12)
-
-    sp = vsub.add_parser("fft", parents=[common],
-                         help="finite Fourier transform table")
-    sp.add_argument("--kmax", type=int, default=13)
-    sp.add_argument("--rmax", type=int, default=6)
-    sp.add_argument("--smax", type=int, default=6)
-    sp.add_argument("--pmax", type=int, default=97)
-    sp.add_argument("--grids", type=int, default=100)
-    sp.add_argument("--grid-kmax", type=int, default=64, dest="grid_kmax")
-
-    sp = vsub.add_parser("trig-identity", parents=[common],
-                         help="quadratic-argument cotangent identity")
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-
-    sp = vsub.add_parser("divisibility", parents=[common],
-                         help="divisibility pattern of Bernoulli sums")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--rmax", type=int, default=None)
-
+    levels = {"": parser.add_subparsers(dest="command", required=True)}
+    for command in COMMANDS:
+        group, _, leaf = command.name.rpartition(" ")
+        if group not in levels:  # "verify", added at its first row
+            levels[group] = levels[""].add_parser(
+                group, help="machine checks of the identities"
+            ).add_subparsers(dest="check", required=True)
+        sp = levels[group].add_parser(leaf, parents=[common],
+                                      help=command.help)
+        for flag, options in command.arguments:
+            sp.add_argument(flag, **options)
+        sp.set_defaults(spec=command)
     return parser
-
-
-def _resolve_precision(args) -> PrecisionConfig:
-    digits = args.prec
-    if digits is None:
-        raw = os.environ.get(PRECISION_ENV)
-        if raw is not None:
-            raw = raw.strip()
-            sign_ok = raw[1:].isdigit() if raw[:1] in "+-" else raw.isdigit()
-            if not raw or not sign_ok:
-                raise ValueError(
-                    f"{PRECISION_ENV} must be an integer, got {raw!r}")
-            digits = int(raw)
-    if digits is None:
-        digits = DEFAULT_DIGITS
-    return PrecisionConfig.for_digits(digits)
-
-
-def _number_str(value, config: PrecisionConfig) -> str:
-    """Exact decimal for integers and Fractions, nstr for mp values."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    ctx = config.context()
-    return ctx.nstr(ctx.convert(value), config.decimal_digits)
-
-
-def _require_prime(p: int) -> None:
-    if p < 2 or not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-
-
-def _prepare(args, config: PrecisionConfig):
-    """Return (command id, parameters, compute closure) for the parsed args.
-
-    The closure returns (values, residuals, passed) with every value
-    already JSON-serializable, so envelopes cache and render identically.
-    """
-    if args.command == "count":
-        _require_prime(args.p)
-        if args.n < 0:
-            raise ValueError("n must be >= 0")
-        parameters = {"p": args.p, "n": args.n}
-
-        def compute():
-            return {"count": str(pcore_count(args.p, args.n))}, {}, True
-
-        return "count", parameters, compute
-
-    if args.command == "series":
-        _require_prime(args.p)
-        if args.max_n < 0:
-            raise ValueError("max-n must be >= 0")
-        parameters = {"p": args.p, "max_n": args.max_n}
-
-        def compute():
-            coeffs = pcore_series(args.p, args.max_n).coefficients
-            counts = [[n, str(c)] for n, c in enumerate(coeffs)]
-            return {"counts": counts}, {}, True
-
-        return "series", parameters, compute
-
-    if args.command == "approx":
-        parameters = {"p": args.p, "n": args.n, "method": args.method}
-        if args.method == "singular":
-            parameters["kmax"] = args.kmax if args.kmax is not None else 50
-
-        def compute():
-            if args.method == "singular":
-                report = approx_singular_series(
-                    args.p, args.n, parameters["kmax"], config)
-            else:
-                report = approx_divisor_sum(args.p, args.n, config)
-            values = {"estimate": _number_str(report.estimate, config)}
-            if report.divisor_sum is not None:
-                values["divisor_sum"] = str(report.divisor_sum)
-                values["constant"] = str(report.constant)
-            residuals = {}
-            if report.exact is not None:
-                values["exact"] = str(report.exact)
-                if report.relative_error is not None:
-                    residuals["relative_error"] = report.relative_error
-            return values, residuals, True
-
-        return "approx", parameters, compute
-
-    if args.command == "cp":
-        parameters = {"p": args.p, "variant": args.variant}
-
-        def compute():
-            if args.variant == "all":
-                report = leading_constant_report(args.p, config)
-                values = {
-                    "consensus": str(report.consensus),
-                    "values": {name: _number_str(v, config)
-                               for name, v in report.values.items()},
-                    "signs": report.signs,
-                }
-                return values, dict(report.residuals), True
-            value = leading_constant(args.p, args.variant, config)
-            return {"variant": args.variant,
-                    "value": _number_str(value, config)}, {}, True
-
-        return "cp", parameters, compute
-
-    if args.command == "trig":
-        parameters = {"r": args.r, "p": args.p}
-
-        def compute():
-            exact = bernoulli_char_sum(args.r, args.p)
-            snapped = cotangent_char_sum(args.r, args.p, config)
-            passed = exact.denominator == 1 and snapped.nearest == exact
-            values = {"bernoulli_sum": _number_str(exact, config),
-                      "cotangent_sum": str(snapped.nearest)}
-            return values, {"snap": snapped.residual}, passed
-
-        return "trig", parameters, compute
-
-    if args.command == "classnum":
-        parameters = {"p": args.p, "method": args.method}
-
-        def compute():
-            value = class_number(args.p, args.method, config)
-            return {"class_number": str(value),
-                    "method": args.method}, {}, True
-
-        return "classnum", parameters, compute
-
-    # verify family
-    check = args.check
-    if check == "ramanujan-identity":
-        parameters = {"p": args.p, "kmax": args.kmax, "nmax": args.nmax}
-
-        def compute():
-            report = verify_ramanujan_identity(
-                args.p, args.kmax, args.nmax, config)
-            values = {"checked": report.checked,
-                      "counterexamples": report.counterexamples}
-            return values, {"worst": report.worst_residual}, report.passed
-
-        return "verify ramanujan-identity", parameters, compute
-
-    if check == "dedekind-parity":
-        parameters = {"p": args.p, "kmax": args.kmax}
-
-        def compute():
-            report = verify_dedekind_parity(args.p, args.kmax)
-            values = {"checked": report.checked,
-                      "counterexamples": report.counterexamples}
-            return values, {}, report.passed
-
-        return "verify dedekind-parity", parameters, compute
-
-    if check == "dirichlet-series":
-        parameters = {"p": args.p, "s": args.s, "n": args.n,
-                      "kmax": args.kmax}
-
-        def compute():
-            report = verify_dirichlet_series(
-                args.p, args.s, args.n, args.kmax, config)
-            values = {"partial_sum": _number_str(report.partial_sum, config),
-                      "closed_form": _number_str(report.closed_form, config),
-                      "tail_bound": report.tail_bound,
-                      "tolerance": report.tolerance}
-            return values, {"deviation": report.deviation}, report.passed
-
-        return "verify dirichlet-series", parameters, compute
-
-    if check == "eta-transform":
-        parameters = {"p": args.p, "h": args.h, "k": args.k, "t": args.t,
-                      "factors": args.factors, "tolerance": args.tolerance}
-
-        def compute():
-            case = TransformCase(p=args.p, h=args.h, k=args.k, t=args.t,
-                                 factors=args.factors)
-            report = verify_eta_transform(case, config, args.tolerance)
-            values = {
-                "lhs": _number_str(report.lhs, config),
-                "rhs": _number_str(report.rhs, config),
-                "exponent": report.exponent,
-                "truncation_bound": report.truncation_bound,
-                "alt_exponent_deviation": report.alt_exponent_deviation,
-                "tolerance": report.tolerance,
-            }
-            residuals = {"relative_deviation": report.relative_deviation}
-            return values, residuals, report.passed
-
-        return "verify eta-transform", parameters, compute
-
-    if check == "fft":
-        parameters = {"kmax": args.kmax, "rmax": args.rmax,
-                      "smax": args.smax, "pmax": args.pmax,
-                      "grids": args.grids, "grid_kmax": args.grid_kmax}
-
-        def compute():
-            table = verify_transform_table(
-                kmax=args.kmax, rmax=args.rmax, smax=args.smax,
-                pmax=args.pmax, grids=args.grids,
-                grid_kmax=args.grid_kmax, config=config)
-            failures = [{"name": row.name, "k": row.k,
-                         "parameters": row.parameters,
-                         "deviation": row.max_deviation}
-                        for row in table.rows if not row.passed]
-            values = {"rows_checked": len(table.rows),
-                      "row_failures": failures,
-                      "max_row_deviation": table.max_row_deviation,
-                      "parseval_max": table.parseval_max,
-                      "involution_max": table.involution_max,
-                      "grid_tolerance": table.grid_tolerance,
-                      "grids": table.grids}
-            return values, {}, table.passed
-
-        return "verify fft", parameters, compute
-
-    if check == "trig-identity":
-        parameters = {"r": args.r, "p": args.p}
-
-        def compute():
-            report = verify_quadratic_trig_identity(args.r, args.p, config)
-            values = {"cotangent_side": str(report.lhs.nearest),
-                      "bernoulli_side": _number_str(report.rhs, config),
-                      "relative_sign": report.relative_sign,
-                      "magnitude_match": report.magnitude_match}
-            return values, {"snap": report.lhs.residual}, report.passed
-
-        return "verify trig-identity", parameters, compute
-
-    if check == "divisibility":
-        rmax = args.rmax
-        if rmax is None:
-            first = args.p * (args.p - 1) // 2 - 1
-            rmax = first if first <= 100 else 15
-        parameters = {"p": args.p, "rmax": rmax}
-
-        def compute():
-            report = divisibility_scan(args.p, rmax)
-            rows = [{"r": row.r, "integer": row.is_integer,
-                     "zero": row.is_zero, "exempt": row.exempt,
-                     "divisible": row.divisible}
-                    for row in report.rows]
-            values = {"first_non_integer": report.first_non_integer,
-                      "expected_first_non_integer":
-                          report.expected_first_non_integer,
-                      "divisibility_holds": report.divisibility_holds,
-                      "first_failure_holds": report.first_failure_holds,
-                      "rows": rows}
-            return values, {}, report.passed
-
-        return "verify divisibility", parameters, compute
-
-    raise ValueError(f"unknown command {args.command!r}")
 
 
 def _plain(value) -> str:
@@ -451,15 +372,21 @@ def _render(envelope: dict, fmt: str) -> str:
 
 
 def _execute(args, config: PrecisionConfig):
-    command, parameters, compute = _prepare(args, config)
+    command = args.spec
+    # argparse's dest for a flag such as "--max-n" is "max_n"
+    dests = [flag[2:].replace("-", "_") for flag, _ in command.arguments]
+    parameters = {dest: getattr(args, dest) for dest in dests}
+    if command.fix is not None:
+        command.fix(parameters)
     envelope = None
     key = None
     if args.cache:
-        key = cache.cache_key(command, parameters, config.decimal_digits)
+        key = cache.cache_key(command.name, parameters, config.decimal_digits)
         envelope = cache.load(args.cache).get(key)
     if envelope is None:
-        values, residuals, passed = compute()
-        envelope = {"command": command, "parameters": parameters,
+        values, residuals, passed = command.shape(
+            argparse.Namespace(**parameters), config)
+        envelope = {"command": command.name, "parameters": parameters,
                     "precision": config.decimal_digits, "values": values,
                     "residuals": residuals, "pass": passed}
         if args.cache:
@@ -490,6 +417,9 @@ def run_cli(argv=None) -> int:
     except ValueError as exc:
         _emit_error("usage", exc)
         return 2
+    except OSError as exc:
+        _emit_error("io", exc)
+        return 4
     sys.stdout.write(_render(envelope, args.format))
     sys.stdout.flush()
     return 0 if envelope["pass"] else 1

@@ -198,6 +198,12 @@ def verify_transform_table(kmax: int = 13, rmax: int = 6, smax: int = 6,
                            seed: int = 0) -> TableReport:
     """Run every closed-form row in range plus Parseval on seeded pseudo-
     random grids and the double-transform reflection identity."""
+    for name, value, least in (
+            ("kmax", kmax, 2), ("rmax", rmax, 1), ("smax", smax, 2),
+            ("pmax", pmax, 3), ("grids", grids, 2),
+            ("grid_kmax", grid_kmax, 1)):
+        if value < least:  # the family would check nothing
+            raise ValueError(f"{name} must be >= {least}")
     report = TableReport(grid_tolerance=10.0 ** -(config.decimal_digits - 10))
     for k in range(2, kmax + 1):
         for r in range(1, rmax + 1):

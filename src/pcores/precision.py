@@ -116,7 +116,10 @@ def snap_integer(value, config: PrecisionConfig = DEFAULT_PRECISION,
                  label: str = "value") -> SnappedInteger:
     """Round ``value`` to the nearest integer with a certified residual.
 
-    Raises PrecisionError when the residual exceeds config.snap_tolerance.
+    Raises PrecisionError when the residual exceeds config.snap_tolerance,
+    or when |value| is so large that rounding at the working precision,
+    about |value| * 10^-working_dps, could itself exceed it: the residual
+    then certifies nothing.
     """
     ctx = config.context()
     if isinstance(value, Fraction):
@@ -129,5 +132,11 @@ def snap_integer(value, config: PrecisionConfig = DEFAULT_PRECISION,
         raise PrecisionError(
             f"{label} {ctx.nstr(raw, 25)} sits {residual:.3e} from the "
             f"nearest integer; snap tolerance is {config.snap_tolerance:g}"
+        )
+    if abs(raw) * ctx.mpf(10) ** -config.working_dps > config.snap_tolerance:
+        raise PrecisionError(
+            f"{label} {ctx.nstr(raw, 25)} is too large to snap within "
+            f"{config.snap_tolerance:g} at {config.working_dps} working "
+            "digits"
         )
     return SnappedInteger(raw=raw, nearest=nearest, residual=residual)

@@ -196,6 +196,11 @@ class TestRamanujanIdentity:
         report = verify_ramanujan_identity(7, 10, 10)
         assert report.passed
 
+    @pytest.mark.parametrize("kmax, nmax", [(0, 5), (5, -1)])
+    def test_empty_sweep_rejected(self, kmax, nmax):
+        with pytest.raises(ValueError):
+            verify_ramanujan_identity(5, kmax, nmax)
+
 
 class TestDedekindParity:
     def test_exact_sweep(self):
@@ -205,6 +210,10 @@ class TestDedekindParity:
 
     def test_seven(self):
         assert verify_dedekind_parity(7, 30).passed
+
+    def test_empty_sweep_rejected(self):
+        with pytest.raises(ValueError):
+            verify_dedekind_parity(5, 0)
 
 
 class TestDirichletSeries:

@@ -109,6 +109,17 @@ class TestTrig:
         doc = json.loads(err)
         assert doc["error"] == "precision"
 
+    def test_uncertified_magnitude_exits_3(self, capsys):
+        # a 159-digit sum cannot be snapped at 70 working digits
+        code, out, err = run(capsys, "trig", "--r", "61", "--p", "97")
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == "precision"
+        code, out, _ = run(capsys, "trig", "--r", "61", "--p", "97",
+                           "--prec", "200")
+        assert code == 0
+        assert "pass: true" in out
+
 
 class TestClassnum:
     def test_known_value(self, capsys):
@@ -196,6 +207,17 @@ class TestUsageErrors:
         code, _, err = run(capsys, "count", "--p", "5", "--n", "-1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        "verify ramanujan-identity --p 5 --kmax 0",
+        "verify dedekind-parity --p 5 --kmax 0",
+        "verify fft --kmax 1 --pmax 2 --grids 0",
+    ])
+    def test_verify_checking_nothing(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "usage"
+
 
 class TestPrecisionResolution:
     def test_env_variable(self, capsys, monkeypatch):
@@ -258,6 +280,30 @@ class TestDeterminismAndCache:
                            "--cache", str(path))
         assert code == 0
         assert out == first
+
+    def test_unwritable_cache_exits_4(self, capsys, tmp_path):
+        blocker = tmp_path / "f"
+        blocker.write_text("")
+        code, out, err = run(capsys, "count", "--p", "5", "--n", "10",
+                             "--cache", str(blocker / "c.jsonl"))
+        assert code == 4
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "io"
+
+
+# README commands in every format, recorded before the CLI was rebuilt on
+# its command table; the two slow verify sweeps are shrunk to keep the
+# suite fast.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json")
+                    .read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))
+def test_golden_rendering(capsys, monkeypatch, case):
+    monkeypatch.delenv("PCORE_PREC", raising=False)
+    code, out, _ = run(capsys, *case["argv"])
+    assert (code, out) == (case["code"], case["stdout"])
 
 
 def _prepend(directory, rest):

@@ -134,3 +134,11 @@ class TestTable:
                                    grids=6, grid_kmax=8, seed=3)
         assert a.parseval_max == b.parseval_max
         assert a.involution_max == b.involution_max
+
+    @pytest.mark.parametrize("bound", [
+        {"kmax": 1}, {"rmax": 0}, {"smax": 1}, {"pmax": 2}, {"grids": 1},
+        {"grid_kmax": 0}])
+    def test_family_selecting_nothing_rejected(self, bound):
+        sizes = dict(kmax=3, rmax=2, smax=2, pmax=5, grids=6, grid_kmax=8)
+        with pytest.raises(ValueError, match=next(iter(bound))):
+            verify_transform_table(**{**sizes, **bound})
