@@ -2,8 +2,8 @@
 machine verification of the identities connecting them."""
 
 from .arith import (bernoulli_number, bernoulli_poly, dedekind_sum,
-                    dedekind_sum_fast, divisors, is_prime, legendre_symbol,
-                    mobius, ramanujan_sum, sawtooth)
+                    divisors, is_prime, legendre_symbol, mobius,
+                    ramanujan_sum, sawtooth)
 from .asympt import (ApproxReport, ConjectureReport, CpReport,
                      DirichletSeriesReport, DivisibilityReport,
                      TransformCase, TransformReport, TrigIdentityReport,
@@ -38,8 +38,8 @@ __all__ = [
     "approx_singular_series", "bernoulli_char_sum", "bernoulli_number",
     "bernoulli_poly", "check_bernoulli_row", "check_legendre_row",
     "check_zeta_row", "class_number", "cot_derivative", "cot_polynomial",
-    "cotangent_char_sum", "cotangent_char_sum_raw", "dedekind_sum",
-    "dedekind_sum_fast", "dft", "divisibility_scan", "divisors",
+    "cotangent_char_sum", "cotangent_char_sum_raw", "dedekind_sum", "dft",
+    "divisibility_scan", "divisors",
     "euler_series", "eta_quotient_value", "exp_sum", "grid_function",
     "hurwitz_zeta", "hurwitz_zeta_neg", "inner_product", "is_prime",
     "leading_constant", "leading_constant_report", "legendre_symbol",

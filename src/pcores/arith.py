@@ -7,7 +7,6 @@ exact: integers or Fractions, no rounding anywhere.
 
 from __future__ import annotations
 
-import functools
 import threading
 from fractions import Fraction
 from math import comb, gcd, isqrt
@@ -41,11 +40,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def require_odd_prime(p: int, who: str = "p") -> None:
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"{who} must be an odd prime, got {p}")
-
-
 def mobius(m: int) -> int:
     """Mobius function by trial-division factorization."""
     if m < 1:
@@ -66,7 +60,8 @@ def mobius(m: int) -> int:
 
 def legendre_symbol(a: int, p: int) -> int:
     """Quadratic residue symbol (a|p) for an odd prime p."""
-    require_odd_prime(p)
+    if p < 3 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
     a %= p
     if a == 0:
         return 0
@@ -82,43 +77,27 @@ def sawtooth(x) -> Fraction:
     return x - (x.numerator // x.denominator) - Fraction(1, 2)
 
 
-@functools.lru_cache(maxsize=None)
 def dedekind_sum(h: int, k: int) -> Fraction:
     """Dedekind sum s(h,k) = sum_{j=1}^{k-1} ((j/k))((jh/k)), exactly.
 
-    Requires gcd(h,k) = 1.  The defining sum is evaluated with a single
-    integer accumulator: for k not dividing j and jh, the j-th term is
-    (2j-k)(2(jh mod k)-k) / (4k^2).
+    Requires gcd(h,k) = 1.  O(log k) integer steps: the reciprocity descent
+    along the Euclidean algorithm r_0 = k, r_1 = h, ..., r_n = 1 with
+    quotients a_i telescopes to 12k*s(h,k) = k*sum_i (-1)^(i+1)(a_i - 3)
+    + h + y, where 1 = x*k + y*h (Apostol, Modular Functions, ch. 3).
     """
     if k < 1:
         raise ValueError("dedekind_sum requires k >= 1")
     h %= k
     if gcd(h, k) != 1:
         raise ValueError("dedekind_sum requires gcd(h,k) = 1")
-    num = 0
-    for j in range(1, k):
-        hj = h * j % k
-        if hj:
-            num += (2 * j - k) * (2 * hj - k)
-    return Fraction(num, 4 * k * k)
-
-
-def dedekind_sum_fast(h: int, k: int) -> Fraction:
-    """s(h,k) in O(log k) via reciprocity descent; identical to dedekind_sum."""
-    if k < 1:
-        raise ValueError("dedekind_sum_fast requires k >= 1")
-    h %= k
-    if gcd(h, k) != 1:
-        raise ValueError("dedekind_sum_fast requires gcd(h,k) = 1")
-    total = Fraction(0)
-    sign = 1
-    # s(h,k) = -1/4 + (h^2 + k^2 + 1)/(12hk) - s(k mod h, h); ends at h = 0.
-    while h:
-        total += sign * (Fraction(-1, 4)
-                         + Fraction(h * h + k * k + 1, 12 * h * k))
+    quotients, sign, r_prev, r, y_prev, y = 0, 1, k, h, 0, 1
+    while r:
+        a, rest = divmod(r_prev, r)
+        quotients += sign * (a - 3)
         sign = -sign
-        h, k = k % h, h
-    return total
+        r_prev, r, y_prev, y = r, rest, y, y_prev - a * y
+    # now r_prev = 1 = x*k + y_prev*h
+    return Fraction(k * quotients + h + y_prev, 12 * k)
 
 
 def ramanujan_sum(k: int, n: int) -> int:

@@ -26,14 +26,24 @@ from .special import cot_derivative, hurwitz_zeta, hurwitz_zeta_neg
 _EXACT_CUTOFF = 20000
 
 
-def _require_p(p: int) -> None:
+def _require_p(p: int, k: int = 1) -> None:
+    # p a prime >= 5 and, where given, k a denominator prime to p
     if p < 5 or not is_prime(p):
         raise ValueError(f"p must be a prime >= 5, got {p}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k % p == 0:
+        raise ValueError("denominators divisible by p are excluded")
 
 
 def _shift(p: int) -> int:
     # (p^2 - 1)/24 is an integer for every prime p >= 5
     return (p * p - 1) // 24
+
+
+def _dedekind_6k(h: int, k: int) -> int:
+    s = dedekind_sum(h, k)  # 6k * s(h,k) is an integer
+    return s.numerator * (6 * k // s.denominator)
 
 
 def exp_sum(p: int, k: int, n: int,
@@ -42,24 +52,20 @@ def exp_sum(p: int, k: int, n: int,
 
     Each phase is the exact rational
         theta_h = (s(h,k) - p*s(p*h mod k, k))/2 - h*n/k,
-    summed as e^(2*pi*i*theta_h) at working precision and snapped to an
-    integer (the imaginary part is folded into the snap residual).  k = 1
-    contributes the single term 1.  Denominators divisible by p are
-    rejected.
+    an integer over 12k, summed as e^(2*pi*i*theta_h) at working precision
+    and snapped to an integer (the imaginary part is folded into the snap
+    residual).  k = 1 contributes the single term 1.  Denominators
+    divisible by p are rejected.
     """
-    _require_p(p)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k % p == 0:
-        raise ValueError("denominators divisible by p are excluded")
+    _require_p(p, k)
     ctx = config.context()
     terms = []
     for h in range(k):
         if gcd(h, k) != 1:
             continue
-        theta = (dedekind_sum(h, k) - p * dedekind_sum(p * h % k, k)) / 2 \
-            - Fraction(h * n, k)
-        terms.append(ctx.expjpi(to_mpf(ctx, 2 * (theta % 1))))
+        theta_12k = _dedekind_6k(h, k) - p * _dedekind_6k(p * h % k, k) \
+            - 12 * h * n
+        terms.append(ctx.expjpi(ctx.fdiv(theta_12k % (12 * k), 6 * k)))
     total = ctx.fsum(terms)
     return snap_integer(total, config, label=f"exponential sum (k={k}, n={n})")
 
@@ -71,14 +77,16 @@ def singular_term(p: int, k: int, n: int,
         (2*pi/k)^((p-1)/2) * p^(-p/2) * A * (n + (p^2-1)/24)^((p-3)/2)
             / ((p-3)/2)!
 
-    where A is the snapped exponential sum for (k, n).
+    where A = exp_sum(p, k, n) is taken from its closed form, the twisted
+    Ramanujan sum (k|p) * c_k(n + (p^2-1)/24) (Anderson, 2008).
     """
-    amplitude = exp_sum(p, k, n, config).nearest
+    _require_p(p, k)
+    shifted = n + _shift(p)
+    amplitude = legendre_symbol(k, p) * ramanujan_sum(k, shifted)
     ctx = config.context()
     if amplitude == 0:
         return ctx.mpf(0)
     half = (p - 1) // 2
-    shifted = n + _shift(p)
     value = (2 * ctx.pi / k) ** half
     value *= ctx.power(p, -to_mpf(ctx, Fraction(p, 2)))
     value *= amplitude
@@ -430,15 +438,16 @@ def verify_dedekind_parity(p: int, kmax: int) -> ConjectureReport:
         for h in range(k):
             if gcd(h, k) != 1:
                 continue
-            delta = p * dedekind_sum(p * h % k, k) - dedekind_sum(h, k) \
-                - Fraction((p * p - 1) * h, 12 * k)
+            delta_12k = 2 * (p * _dedekind_6k(p * h % k, k)
+                             - _dedekind_6k(h, k)) - (p * p - 1) * h
+            delta, rest = divmod(delta_12k, 12 * k)
             checked += 1
-            if delta.denominator != 1:
+            if rest:
+                counterexamples.append({"k": k, "h": h, "reason": "non-integer",
+                                        "delta": str(Fraction(delta_12k, 12 * k))})
+            elif (delta % 2 == 0) != even_expected:
                 counterexamples.append(
-                    {"k": k, "h": h, "reason": "non-integer", "delta": str(delta)})
-            elif (delta.numerator % 2 == 0) != even_expected:
-                counterexamples.append(
-                    {"k": k, "h": h, "reason": "parity", "delta": delta.numerator})
+                    {"k": k, "h": h, "reason": "parity", "delta": delta})
     return ConjectureReport(
         name="dedekind-parity", parameters={"p": p, "kmax": kmax},
         checked=checked, counterexamples=counterexamples, worst_residual=0.0)

@@ -84,9 +84,12 @@ def _series(args, config):
 
 
 def _approx_parameters(parameters):
-    # the truncation depth keys only the singular series
-    if parameters["method"] != "singular":
-        del parameters["kmax"]
+    # the truncation depth belongs to the singular series alone
+    if parameters["method"] == "singular":
+        if parameters["kmax"] is None:
+            parameters["kmax"] = 50
+    elif parameters.pop("kmax") is not None:
+        raise ValueError("--kmax applies only to --method singular")
 
 
 def _approx(args, config):
@@ -244,7 +247,7 @@ COMMANDS = (
             (_required("--p"), _required("--n"),
              ("--method", dict(choices=("singular", "divisor"),
                                required=True)),
-             _option("--kmax", 50,
+             _option("--kmax", None,
                      help="singular-series truncation (default: 50)")),
             _approx, fix=_approx_parameters),
     Command("cp", "leading constant of the divisor-sum estimate",
@@ -382,7 +385,7 @@ def _execute(args, config: PrecisionConfig):
     key = None
     if args.cache:
         key = cache.cache_key(command.name, parameters, config.decimal_digits)
-        envelope = cache.load(args.cache).get(key)
+        envelope = cache.load(args.cache, key)
     if envelope is None:
         values, residuals, passed = command.shape(
             argparse.Namespace(**parameters), config)

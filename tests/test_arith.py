@@ -10,10 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcores.arith import (bernoulli_number, bernoulli_poly, dedekind_sum,
-                          dedekind_sum_fast, divisors, is_prime,
-                          legendre_symbol, mobius, ramanujan_sum, sawtooth)
+                          divisors, is_prime, legendre_symbol, mobius,
+                          ramanujan_sum, sawtooth)
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+def _dedekind_definition(h, k):
+    """Oracle: the defining O(k) sum of ((j/k))((jh/k)), in one integer
+    accumulator; for k not dividing j and jh the j-th term is
+    (2j-k)(2(jh mod k)-k) / (4k^2)."""
+    num = 0
+    for j in range(1, k):
+        hj = h * j % k
+        if hj:
+            num += (2 * j - k) * (2 * hj - k)
+    return Fraction(num, 4 * k * k)
 
 
 class TestMobius:
@@ -109,20 +121,26 @@ class TestDedekindSum:
         for k in range(1, 101):
             for h in range(k):
                 if gcd(h, k) == 1:
-                    assert dedekind_sum_fast(h, k) == dedekind_sum(h, k)
+                    assert dedekind_sum(h, k) == _dedekind_definition(h, k)
 
     @given(k=st.integers(1, 400), h=st.integers(0, 800))
     @settings(max_examples=150)
     def test_fast_matches_definition_random(self, k, h):
         if gcd(h, k) != 1:
             h = 1
-        assert dedekind_sum_fast(h, k) == dedekind_sum(h, k)
+        assert dedekind_sum(h, k) == _dedekind_definition(h % k, k)
+
+    @given(k=st.integers(1, 10 ** 6), h=st.integers(-10 ** 6, 10 ** 6))
+    def test_six_k_multiple_is_integer(self, k, h):
+        if gcd(h, k) != 1:
+            h = 1
+        assert (6 * k * dedekind_sum(h, k)).denominator == 1
 
     def test_requires_coprimality(self):
         with pytest.raises(ValueError):
             dedekind_sum(2, 4)
         with pytest.raises(ValueError):
-            dedekind_sum_fast(3, 9)
+            dedekind_sum(3, 9)
         with pytest.raises(ValueError):
             dedekind_sum(1, 0)
 

@@ -1,5 +1,6 @@
 """Exponential sums, asymptotic estimates, constants, and identity checks."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,26 @@ from pcores.asympt import (TransformCase, approx_divisor_sum,
                            verify_dirichlet_series, verify_eta_transform,
                            verify_quadratic_trig_identity,
                            verify_ramanujan_identity)
-from pcores.precision import DEFAULT_PRECISION
+from pcores.arith import divisors
+from pcores.precision import DEFAULT_PRECISION, PrecisionConfig, to_mpf
 from pcores.series import pcore_count
+
+PRIMES_5_TO_31 = (5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def _exp_sum_term(p, k, n, config):
+    """singular_term as it was built on the snapped exponential sum: the
+    same mpmath operations in the same order, amplitude from exp_sum."""
+    amplitude = exp_sum(p, k, n, config).nearest
+    ctx = config.context()
+    if amplitude == 0:
+        return ctx.mpf(0)
+    half = (p - 1) // 2
+    value = (2 * ctx.pi / k) ** half
+    value *= ctx.power(p, -to_mpf(ctx, Fraction(p, 2)))
+    value *= amplitude
+    value *= ctx.mpf(n + (p * p - 1) // 24) ** (half - 1)
+    return value / math.factorial(half - 1)
 
 
 class TestExpSum:
@@ -67,6 +86,33 @@ class TestSingularSeries:
         report = approx_singular_series(5, 10, 10)
         assert report.exact == pcore_count(5, 10)
         assert report.method == "singular"
+
+    @pytest.mark.parametrize("p", PRIMES_5_TO_31)
+    def test_closed_form_amplitude_matches_exp_sum(self, p):
+        # n + (p^2-1)/24 = 0 mod d for each d | k exercises every gcd
+        shift = (p * p - 1) // 24
+        for k in range(1, 41):
+            if k % p == 0:
+                continue
+            for n in {0, 1, 1000} | {-shift % d for d in divisors(k)}:
+                expected = _exp_sum_term(p, k, n, DEFAULT_PRECISION)
+                assert singular_term(p, k, n) == expected, (k, n)
+
+    @pytest.mark.parametrize("digits", [40, 60, 100])
+    def test_estimate_equals_exp_sum_series(self, digits):
+        config = PrecisionConfig.for_digits(digits)
+        for p, n, kmax in ((5, 24, 60), (17, 30001, 40), (31, 10 ** 6, 25)):
+            total = config.context().mpf(0)
+            for k in range(1, kmax + 1):
+                if k % p:
+                    total += _exp_sum_term(p, k, n, config)
+            report = approx_singular_series(p, n, kmax, config,
+                                            with_exact=False)
+            assert report.estimate == total
+
+    def test_singular_term_rejects_multiples_of_p(self):
+        with pytest.raises(ValueError):
+            singular_term(7, 14, 1)
 
 
 class TestDivisorSumEstimate:

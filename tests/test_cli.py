@@ -218,6 +218,17 @@ class TestUsageErrors:
         assert out == ""
         assert json.loads(err)["error"] == "usage"
 
+    def test_kmax_with_divisor_method(self, capsys, tmp_path):
+        path = tmp_path / "c.jsonl"
+        code, out, err = run(capsys, "approx", "--p", "17", "--n", "1000",
+                             "--method", "divisor", "--kmax", "7",
+                             "--cache", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "usage"
+        assert not path.exists()
+
 
 class TestPrecisionResolution:
     def test_env_variable(self, capsys, monkeypatch):
