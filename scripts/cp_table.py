@@ -22,7 +22,7 @@ def main() -> None:
     parser.add_argument("--prec", type=int, default=60,
                         help="decimal digits (default 60)")
     args = parser.parse_args()
-    config = PrecisionConfig.for_digits(args.prec)
+    config = PrecisionConfig(args.prec)
 
     print(f"{'p':>3}  {'constant':>26}  {'signs':<22}  worst residual")
     start = time.perf_counter()

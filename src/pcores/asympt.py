@@ -150,7 +150,9 @@ def approx_divisor_sum(p: int, n: int,
 
         D = sum over d | (n + (p^2-1)/24) of (d|p) * ((n+(p^2-1)/24)/d)^((p-3)/2)
 
-    divided by the integer leading constant."""
+    divided by the integer leading constant, taken from its exact
+    Bernoulli formula (variant iv) alone; leading_constant_report
+    reconciles all six formulas."""
     _require_p(p)
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -159,7 +161,7 @@ def approx_divisor_sum(p: int, n: int,
     total = 0
     for d in divisors(shifted):
         total += legendre_symbol(d, p) * (shifted // d) ** e
-    constant = leading_constant_report(p, config).consensus
+    constant = _certified_constant(p, leading_constant(p, "iv"))
     ctx = config.context()
     estimate = to_mpf(ctx, Fraction(total, constant))
     report = ApproxReport(p=p, n=n, method="divisor", estimate=estimate,
@@ -217,6 +219,17 @@ def leading_constant(p: int, variant: str,
     return _quadratic_bernoulli_side(r, p)
 
 
+def _certified_constant(p: int, exact: Fraction) -> int:
+    # the exact Bernoulli variant must give a positive integer
+    if exact.denominator != 1:
+        raise VerificationError(
+            f"exact leading-constant formula for p={p} gave non-integer {exact}")
+    if exact <= 0:
+        raise VerificationError(
+            f"leading constant for p={p} not positive: {exact}")
+    return int(exact)
+
+
 @dataclass
 class CpReport:
     """All applicable leading-constant formulas reconciled to one integer."""
@@ -233,7 +246,8 @@ def leading_constant_report(p: int,
                             config: PrecisionConfig = DEFAULT_PRECISION) -> CpReport:
     """Evaluate every applicable variant and reconcile.
 
-    The exact Bernoulli variant fixes the magnitude, the Hurwitz-zeta
+    The exact Bernoulli variant, certified a positive integer as in
+    approx_divisor_sum, fixes the magnitude, the Hurwitz-zeta
     variant fixes the sign, and every variant must agree in absolute value
     to relative error 10^-(decimal_digits/2); disagreement raises
     VerificationError.  The consensus is asserted to be a positive integer.
@@ -241,22 +255,22 @@ def leading_constant_report(p: int,
     _require_p(p)
     names = ["i", "ii", "iii", "iv"] + (["v", "vi"] if p % 4 == 3 else [])
     values = {v: leading_constant(p, v, config) for v in names}
-    exact = values["iv"]
-    if exact.denominator != 1:
-        raise VerificationError(
-            f"exact leading-constant formula for p={p} gave non-integer {exact}")
-    magnitude = abs(int(exact))
+    magnitude = _certified_constant(p, values["iv"])
     sign = 1 if values["i"] > 0 else -1
     consensus = sign * magnitude
     if consensus <= 0:
         raise VerificationError(
             f"leading constant for p={p} not positive: {consensus}")
     tolerance = 10.0 ** -(config.decimal_digits // 2)
+    # Both sides of each float division are scaled by one power of two, an
+    # exact step that keeps constants above 10^308 in float range.
+    scale = 2 ** max(0, magnitude.bit_length() - 1000)
     residuals = {}
     signs = {}
     for name, value in values.items():
         signs[name] = 1 if value > 0 else -1
-        residuals[name] = float(abs(abs(value) - magnitude)) / magnitude
+        residuals[name] = float(abs(abs(value) - magnitude) / scale) \
+            / (magnitude / scale)
         if residuals[name] > tolerance:
             raise VerificationError(
                 f"variant {name} for p={p} off consensus {magnitude} by "
@@ -357,10 +371,8 @@ def class_number(p: int, method: str = "all",
         return int(value)
 
     def by_cotangent() -> int:
-        ctx = config.context()
-        total = ctx.fsum(cot_derivative(0, Fraction(j * j % p, p), config)
-                         for j in range(1, (p - 1) // 2 + 1))
-        return snap_integer(total / ctx.sqrt(p), config,
+        value = 2 * _quadratic_cotangent_side(0, p, config) / p
+        return snap_integer(value, config,
                             label=f"cotangent class number (p={p})").nearest
 
     routes = {"dirichlet": by_dirichlet, "sawtooth": by_sawtooth,
@@ -527,15 +539,11 @@ class TransformCase:
     factors: int = 400
 
     def __post_init__(self) -> None:
-        _require_p(self.p)
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        _require_p(self.p, self.k)
         if not 0 <= self.h < self.k:
             raise ValueError("need 0 <= h < k")
         if gcd(self.h, self.k) != 1:
             raise ValueError("need gcd(h,k) = 1")
-        if self.k % self.p == 0:
-            raise ValueError("need gcd(p,k) = 1")
         if not self.t > 0:
             raise ValueError("t must be positive")
         if self.factors < 1:

@@ -34,21 +34,22 @@ from .asympt import (TransformCase, approx_divisor_sum, approx_singular_series,
                      verify_quadratic_trig_identity, verify_ramanujan_identity,
                      VARIANTS, CLASS_NUMBER_METHODS)
 from .fourier import verify_transform_table
-from .precision import PrecisionConfig, PrecisionError, VerificationError
+from .precision import (DEFAULT_PRECISION, PrecisionConfig, PrecisionError,
+                        VerificationError)
 from .series import pcore_count, pcore_series
 
-DEFAULT_DIGITS = 60
+DEFAULT_DIGITS = DEFAULT_PRECISION.decimal_digits
 PRECISION_ENV = "PCORE_PREC"
 
 
 def _resolve_precision(args) -> PrecisionConfig:
     if args.prec is not None:
-        return PrecisionConfig.for_digits(args.prec)
+        return PrecisionConfig(args.prec)
     raw = os.environ.get(PRECISION_ENV, str(DEFAULT_DIGITS)).strip()
     unsigned = raw[1:] if raw[:1] in "+-" else raw
     if not unsigned.isdigit():
         raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}")
-    return PrecisionConfig.for_digits(int(raw))
+    return PrecisionConfig(int(raw))
 
 
 def _number_str(value, config: PrecisionConfig) -> str:

@@ -22,54 +22,44 @@ class VerificationError(Exception):
     """A cross-checked computation disagreed beyond its tolerance."""
 
 
+# Digits carried internally beyond the target.
+GUARD_DIGITS = 10
+
+
 @dataclass(frozen=True)
 class PrecisionConfig:
     """How many digits to carry and how eagerly to round to integers.
 
-    decimal_digits  target number of correct decimal digits
-    snap_tolerance  largest |x - nearest integer| accepted by snapping
-    guard_digits    extra digits carried internally beyond the target
+    decimal_digits is the target number of correct decimal digits; the
+    working precision adds GUARD_DIGITS, and snapping accepts a distance
+    to the nearest integer up to
+    max(1e-30, 10^-(decimal_digits - GUARD_DIGITS)), which the working
+    precision always resolves.
     """
 
     decimal_digits: int = 60
-    snap_tolerance: float = 1e-30
-    guard_digits: int = 10
 
     def __post_init__(self) -> None:
         if self.decimal_digits < 20:
             raise ValueError("decimal_digits must be at least 20")
-        if self.guard_digits < 1:
-            raise ValueError("guard_digits must be positive")
-        if not self.snap_tolerance > 0:
-            raise ValueError("snap_tolerance must be positive")
-        # A snap tolerance below what the working precision can resolve
-        # would reject exact integers on rounding noise alone.
-        floor = 10.0 ** -(self.decimal_digits - self.guard_digits)
-        if self.snap_tolerance < floor:
-            raise ValueError(
-                f"snap_tolerance {self.snap_tolerance:g} is finer than the "
-                f"resolvable floor {floor:g} at {self.decimal_digits} digits"
-            )
 
     @classmethod
-    def for_digits(cls, decimal_digits: int, guard_digits: int = 10) -> "PrecisionConfig":
-        """Build a config for a digit count, widening the snap tolerance
-        when the default would violate the resolvability invariant."""
-        snap = max(1e-30, 10.0 ** -(decimal_digits - guard_digits))
-        return cls(decimal_digits=decimal_digits, snap_tolerance=snap,
-                   guard_digits=guard_digits)
+    def for_digits(cls, decimal_digits: int) -> "PrecisionConfig":
+        """The same config as ``PrecisionConfig(decimal_digits)``."""
+        return cls(decimal_digits)
 
     @property
     def working_dps(self) -> int:
-        return self.decimal_digits + self.guard_digits
+        return self.decimal_digits + GUARD_DIGITS
+
+    @property
+    def snap_tolerance(self) -> float:
+        """Largest |x - nearest integer| accepted by snapping."""
+        return max(1e-30, 10.0 ** -(self.decimal_digits - GUARD_DIGITS))
 
     def context(self):
         """The (shared, treat-as-immutable) mpmath context for this config."""
         return _context(self.working_dps)
-
-    def eps(self) -> float:
-        """Granularity of the target precision, as a float."""
-        return 10.0 ** -self.decimal_digits
 
 
 DEFAULT_PRECISION = PrecisionConfig()

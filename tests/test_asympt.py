@@ -14,8 +14,10 @@ from pcores.asympt import (TransformCase, approx_divisor_sum,
                            verify_dirichlet_series, verify_eta_transform,
                            verify_quadratic_trig_identity,
                            verify_ramanujan_identity)
-from pcores.arith import divisors
-from pcores.precision import DEFAULT_PRECISION, PrecisionConfig, to_mpf
+import pcores.asympt as asympt
+from pcores.arith import divisors, is_prime
+from pcores.precision import (DEFAULT_PRECISION, PrecisionConfig,
+                              VerificationError, to_mpf)
 from pcores.series import pcore_count
 
 PRIMES_5_TO_31 = (5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -129,6 +131,25 @@ class TestDivisorSumEstimate:
         assert report.divisor_sum == 1095644358087433891660
         assert report.constant == 59901794
         assert report.relative_error < 5e-8
+
+    def test_constant_from_exact_formula_alone(self, monkeypatch):
+        consensus = {p: leading_constant_report(p).consensus
+                     for p in range(5, 62) if is_prime(p)}
+
+        def cross_check(*args, **kwargs):
+            raise AssertionError("the estimate ran the six-way cross-check")
+
+        monkeypatch.setattr(asympt, "leading_constant_report", cross_check)
+        for p, constant in consensus.items():
+            report = approx_divisor_sum(p, 1000, with_exact=False)
+            assert report.constant == constant
+
+    @pytest.mark.parametrize("bad", [Fraction(17, 2), Fraction(0),
+                                     Fraction(-8)])
+    def test_uncertified_constant_raises(self, monkeypatch, bad):
+        monkeypatch.setattr(asympt, "leading_constant", lambda p, v: bad)
+        with pytest.raises(VerificationError):
+            approx_divisor_sum(7, 10)
 
 
 class TestLeadingConstant:
@@ -305,6 +326,12 @@ class TestEtaTransform:
             TransformCase(p=5, h=1, k=5, t=0.5)
         with pytest.raises(ValueError):
             TransformCase(p=5, h=1, k=2, t=0.0)
+
+    def test_case_shares_the_denominator_checks(self):
+        with pytest.raises(ValueError, match="divisible by p"):
+            TransformCase(p=7, h=1, k=14, t=0.5)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            TransformCase(p=5, h=0, k=0, t=0.5)
 
 
 class TestTrigIdentity:

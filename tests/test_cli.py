@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from pcores.asympt import leading_constant
 from pcores.cli import run_cli
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -74,6 +75,14 @@ class TestApprox:
         assert doc["values"]["constant"] == "1"
         assert doc["values"]["exact"] == doc["values"]["divisor_sum"]
 
+    def test_divisor_method_constant_beyond_float_range(self, capsys):
+        # the constant for p = 211 exceeds 10^308
+        code, out, err = run(capsys, "approx", "--p", "211", "--n", "1000000",
+                             "--method", "divisor", "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["values"]["constant"] == str(leading_constant(211, "iv"))
+
     def test_singular_method_default_depth(self, capsys):
         code, out, _ = run(capsys, "approx", "--p", "5", "--n", "30",
                            "--method", "singular", "--format", "json")
@@ -92,6 +101,14 @@ class TestLeadingConstant:
         code, out, _ = run(capsys, "cp", "--p", "11", "--variant", "iv")
         assert code == 0
         assert "value: 1275" in out
+
+    def test_consensus_beyond_float_range(self, capsys):
+        code, out, err = run(capsys, "cp", "--p", "211", "--prec", "20",
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["values"]["consensus"] == str(leading_constant(211, "iv"))
+        assert max(doc["residuals"].values()) < 1e-10
 
 
 class TestTrig:
