@@ -18,8 +18,8 @@ from .fourier import (DftReport, GridFunction, TableReport, dft,
                       grid_function, verify_transform_table)
 from .precision import (DEFAULT_PRECISION, PrecisionConfig, PrecisionError,
                         SnappedInteger, VerificationError, snap_integer)
-from .series import (PowerSeries, eta_quotient_value, pcore_count,
-                     pcore_count_bruteforce, pcore_series)
+from .series import (eta_quotient_value, pcore_count, pcore_count_bruteforce,
+                     pcore_series)
 from .special import cot_derivative, hurwitz_zeta, periodic_zeta
 
 __version__ = "0.1.0"
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproxReport", "ConjectureReport", "CpReport", "DEFAULT_PRECISION",
     "DftReport", "DirichletSeriesReport", "DivisibilityReport",
-    "GridFunction", "PowerSeries", "PrecisionConfig", "PrecisionError",
+    "GridFunction", "PrecisionConfig", "PrecisionError",
     "SnappedInteger", "TableReport", "TransformCase", "TransformReport",
     "TrigIdentityReport", "VerificationError", "approx_divisor_sum",
     "approx_singular_series", "bernoulli_char_sum", "bernoulli_number",

@@ -41,9 +41,26 @@ def _shift(p: int) -> int:
     return (p * p - 1) // 24
 
 
-def _dedekind_6k(h: int, k: int) -> int:
-    s = dedekind_sum(h, k)  # 6k * s(h,k) is an integer
-    return s.numerator * (6 * k // s.denominator)
+def _phase_6k(p: int, h: int, k: int) -> int:
+    # 6k * (p*s(p*h mod k, k) - s(h,k)); 6k * s(., k) is an integer
+    twisted = dedekind_sum(p * h % k, k)
+    plain = dedekind_sum(h, k)
+    return (p * twisted.numerator * (6 * k // twisted.denominator)
+            - plain.numerator * (6 * k // plain.denominator))
+
+
+def _prefactor(ctx, p: int, k: int):
+    # (2*pi/k)^((p-1)/2) * p^(-p/2), shared by the singular series and
+    # the modular transformation
+    return (2 * ctx.pi / k) ** ((p - 1) // 2) \
+        * ctx.power(p, -to_mpf(ctx, Fraction(p, 2)))
+
+
+def _exact_int(value: Fraction, what: str) -> int:
+    # the certificate that an exact rational result is an integer
+    if value.denominator != 1:
+        raise VerificationError(f"{what} is not an integer: {value}")
+    return int(value)
 
 
 def exp_sum(p: int, k: int, n: int,
@@ -63,8 +80,7 @@ def exp_sum(p: int, k: int, n: int,
     for h in range(k):
         if gcd(h, k) != 1:
             continue
-        theta_12k = _dedekind_6k(h, k) - p * _dedekind_6k(p * h % k, k) \
-            - 12 * h * n
+        theta_12k = -_phase_6k(p, h, k) - 12 * h * n
         terms.append(ctx.expjpi(ctx.fdiv(theta_12k % (12 * k), 6 * k)))
     total = ctx.fsum(terms)
     return snap_integer(total, config, label=f"exponential sum (k={k}, n={n})")
@@ -87,8 +103,7 @@ def singular_term(p: int, k: int, n: int,
     if amplitude == 0:
         return ctx.mpf(0)
     half = (p - 1) // 2
-    value = (2 * ctx.pi / k) ** half
-    value *= ctx.power(p, -to_mpf(ctx, Fraction(p, 2)))
+    value = _prefactor(ctx, p, k)
     value *= amplitude
     value *= ctx.mpf(shifted) ** (half - 1)
     return value / math.factorial(half - 1)
@@ -221,13 +236,11 @@ def leading_constant(p: int, variant: str,
 
 def _certified_constant(p: int, exact: Fraction) -> int:
     # the exact Bernoulli variant must give a positive integer
-    if exact.denominator != 1:
+    constant = _exact_int(exact, f"exact leading constant for p={p}")
+    if constant <= 0:
         raise VerificationError(
-            f"exact leading-constant formula for p={p} gave non-integer {exact}")
-    if exact <= 0:
-        raise VerificationError(
-            f"leading constant for p={p} not positive: {exact}")
-    return int(exact)
+            f"leading constant for p={p} not positive: {constant}")
+    return constant
 
 
 @dataclass
@@ -358,17 +371,11 @@ def class_number(p: int, method: str = "all",
 
     def by_dirichlet() -> int:
         total = sum(j * legendre_symbol(j, p) for j in range(1, p))
-        value = Fraction(-total, p)
-        if value.denominator != 1:
-            raise VerificationError(f"weighted character sum for p={p} "
-                                    f"not divisible by p: {value}")
-        return int(value)
+        return _exact_int(Fraction(-total, p),
+                          f"weighted character sum / p for p={p}")
 
     def by_sawtooth() -> int:
-        value = -quadratic_sawtooth_sum(p)
-        if value.denominator != 1:
-            raise VerificationError(f"sawtooth sum for p={p} not an integer: {value}")
-        return int(value)
+        return _exact_int(-quadratic_sawtooth_sum(p), f"sawtooth sum for p={p}")
 
     def by_cotangent() -> int:
         value = 2 * _quadratic_cotangent_side(0, p, config) / p
@@ -450,8 +457,7 @@ def verify_dedekind_parity(p: int, kmax: int) -> ConjectureReport:
         for h in range(k):
             if gcd(h, k) != 1:
                 continue
-            delta_12k = 2 * (p * _dedekind_6k(p * h % k, k)
-                             - _dedekind_6k(h, k)) - (p * p - 1) * h
+            delta_12k = 2 * _phase_6k(p, h, k) - (p * p - 1) * h
             delta, rest = divmod(delta_12k, 12 * k)
             checked += 1
             if rest:
@@ -591,9 +597,7 @@ def verify_eta_transform(case: TransformCase,
         * ctx.exp(-4 * ctx.pi ** 2 / (k * k * p * t))
     rhs_value = eta_quotient_value(p, y, case.factors, "H", config)
 
-    prefactor = (2 * ctx.pi / k) ** half
-    prefactor *= legendre_symbol(k, p)
-    prefactor *= ctx.power(p, -to_mpf(ctx, Fraction(p, 2)))
+    prefactor = _prefactor(ctx, p, k) * legendre_symbol(k, p)
     prefactor *= t ** (-half)
     phase = ctx.exp((p * p - 1) * t / 24) \
         * ctx.expjpi(-to_mpf(ctx, Fraction((p * p - 1) * h, 12 * k) % 2))

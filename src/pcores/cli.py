@@ -80,8 +80,8 @@ def _series(args, config):
     _require_prime(args.p)
     if args.max_n < 0:
         raise ValueError("max-n must be >= 0")
-    coeffs = pcore_series(args.p, args.max_n).coefficients
-    return {"counts": [[n, str(c)] for n, c in enumerate(coeffs)]}, {}, True
+    counts = pcore_series(args.p, args.max_n)
+    return {"counts": [[n, str(c)] for n, c in enumerate(counts)]}, {}, True
 
 
 def _approx_parameters(parameters):

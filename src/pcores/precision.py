@@ -104,7 +104,8 @@ class SnappedInteger:
 
 def snap_integer(value, config: PrecisionConfig = DEFAULT_PRECISION,
                  label: str = "value") -> SnappedInteger:
-    """Round ``value`` to the nearest integer with a certified residual.
+    """Round ``value``, an mpmath number, to the nearest integer with a
+    certified residual.
 
     Raises PrecisionError when the residual exceeds config.snap_tolerance,
     or when |value| is so large that rounding at the working precision,
@@ -112,10 +113,7 @@ def snap_integer(value, config: PrecisionConfig = DEFAULT_PRECISION,
     then certifies nothing.
     """
     ctx = config.context()
-    if isinstance(value, Fraction):
-        raw = to_mpf(ctx, value)
-    else:
-        raw = ctx.convert(value)
+    raw = ctx.convert(value)
     nearest = int(ctx.nint(raw.real))
     residual = float(abs(raw - nearest))
     if residual > config.snap_tolerance:

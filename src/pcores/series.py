@@ -1,10 +1,9 @@
-"""Truncated integer power series and p-core counting.
+"""Exact p-core counting and the infinite products behind it.
 
-Partition numbers via the pentagonal recurrence, p-core counts through the
-generating-function product, a hook-length brute-force oracle for small n,
-and direct numeric evaluation of the three infinite products (the partition
-product F, the p-core quotient f, and the inverted quotient H) inside the
-unit disk with a certified truncation bound.
+p-core counts through the generating-function product, a hook-length
+brute-force oracle for small n, and direct numeric evaluation of the three
+infinite products (the partition product F, the p-core quotient f, and the
+inverted quotient H) inside the unit disk with a certified truncation bound.
 """
 
 from __future__ import annotations
@@ -17,101 +16,9 @@ from math import comb
 from .precision import DEFAULT_PRECISION, PrecisionConfig
 
 
-@dataclass(frozen=True)
-class PowerSeries:
-    """Power series truncated at x^N, exact integer coefficients.
-
-    Arithmetic between two series truncates to the smaller order.
-    """
-
-    coefficients: tuple[int, ...]
-
-    @property
-    def truncation_order(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __getitem__(self, n: int) -> int:
-        return self.coefficients[n]
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.truncation_order, other.truncation_order)
-        return PowerSeries(tuple(self.coefficients[i] + other.coefficients[i]
-                                 for i in range(n + 1)))
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.truncation_order, other.truncation_order)
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coefficients[:n + 1]):
-            if a:
-                for j, b in enumerate(other.coefficients[:n + 1 - i]):
-                    if b:
-                        out[i + j] += a * b
-        return PowerSeries(tuple(out))
-
-    def __pow__(self, e: int) -> "PowerSeries":
-        if e < 0:
-            raise ValueError("negative powers are not defined here")
-        result = PowerSeries((1,) + (0,) * self.truncation_order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def evaluate(self, x):
-        """Exact value of the truncated polynomial at x (Fraction-friendly)."""
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-
-def euler_series(nmax: int) -> PowerSeries:
-    """Product of (1 - x^j), j >= 1, via the pentagonal number theorem."""
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    c = [0] * (nmax + 1)
-    c[0] = 1
-    k = 1
-    while k * (3 * k - 1) // 2 <= nmax:
-        sign = -1 if k % 2 else 1
-        g = k * (3 * k - 1) // 2
-        c[g] += sign
-        g = k * (3 * k + 1) // 2
-        if g <= nmax:
-            c[g] += sign
-        k += 1
-    return PowerSeries(tuple(c))
-
-
-@functools.lru_cache(maxsize=32)
-def partition_series(nmax: int) -> PowerSeries:
-    """Partition counts p(0..nmax) by Euler's pentagonal recurrence."""
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    p = [0] * (nmax + 1)
-    p[0] = 1
-    for n in range(1, nmax + 1):
-        total = 0
-        k = 1
-        while True:
-            g = k * (3 * k - 1) // 2
-            if g > n:
-                break
-            sign = -1 if k % 2 == 0 else 1
-            total += sign * p[n - g]
-            g = k * (3 * k + 1) // 2
-            if g <= n:
-                total += sign * p[n - g]
-            k += 1
-        p[n] = total
-    return PowerSeries(tuple(p))
-
-
-def pcore_numerator(p: int, nmax: int) -> PowerSeries:
-    """Product of (1 - x^(p*j))^p over p*j <= nmax, expanded exactly."""
+def pcore_numerator(p: int, nmax: int) -> list[int]:
+    """Product of (1 - x^(p*j))^p over p*j <= nmax, expanded exactly:
+    the coefficients of x^0..x^nmax."""
     if p < 2:
         raise ValueError("p must be >= 2")
     if nmax < 0:
@@ -131,22 +38,22 @@ def pcore_numerator(p: int, nmax: int) -> PowerSeries:
                     break
                 acc += co * c[i - off]
             c[i] = acc
-    return PowerSeries(tuple(c))
+    return c
 
 
 @functools.lru_cache(maxsize=64)
-def pcore_series(p: int, nmax: int) -> PowerSeries:
+def pcore_series(p: int, nmax: int) -> tuple[int, ...]:
     """Counts of partitions with no hook length divisible by p, 0..nmax.
 
     Generating function: product of (1 - x^(p*j))^p / (1 - x^j).  The
     expanded numerator is divided by each (1 - x^j) in place.  p need not
     be prime.
     """
-    c = list(pcore_numerator(p, nmax).coefficients)
+    c = pcore_numerator(p, nmax)
     for j in range(1, nmax + 1):
         for i in range(j, nmax + 1):
             c[i] += c[i - j]
-    return PowerSeries(tuple(c))
+    return tuple(c)
 
 
 def pcore_count(p: int, n: int) -> int:

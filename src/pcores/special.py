@@ -10,37 +10,20 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import bernoulli_number, bernoulli_poly
 from .precision import DEFAULT_PRECISION, PrecisionConfig, PrecisionError, to_mpf
 
 
-@dataclass(frozen=True)
-class CotPolynomial:
-    """Integer polynomial f_r with |d^r/dx^r cot(x)| = f_r(cot x) on (0, pi/2).
-
-    Recurrence: f_1(t) = 1 + t^2, f_{r+1} = (1 + t^2) * f_r'.  Coefficients
-    are ascending in t, all nonnegative, degree exactly r + 1.
-    """
-
-    r: int
-    coefficients: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def evaluate(self, t):
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * t + c
-        return acc
-
-
 @functools.lru_cache(maxsize=None)
-def cot_polynomial(r: int) -> CotPolynomial:
+def cot_polynomial(r: int) -> tuple[int, ...]:
+    """Ascending coefficients of the integer polynomial f_r with
+    |d^r/dx^r cot(x)| = f_r(cot x) on (0, pi/2).
+
+    Recurrence: f_1(t) = 1 + t^2, f_{r+1} = (1 + t^2) * f_r'.  All
+    coefficients are nonnegative and the degree is exactly r + 1.
+    """
     if r < 1:
         raise ValueError("cot_polynomial requires r >= 1")
     coeffs = [1, 0, 1]
@@ -52,7 +35,7 @@ def cot_polynomial(r: int) -> CotPolynomial:
             nxt[i] += d
             nxt[i + 2] += d
         coeffs = nxt
-    return CotPolynomial(r=r, coefficients=tuple(coeffs))
+    return tuple(coeffs)
 
 
 def cot_derivative(r: int, q, config: PrecisionConfig = DEFAULT_PRECISION):
@@ -71,7 +54,9 @@ def cot_derivative(r: int, q, config: PrecisionConfig = DEFAULT_PRECISION):
     c = ctx.cot(ctx.pi * to_mpf(ctx, q))
     if r == 0:
         return c
-    val = cot_polynomial(r).evaluate(c)
+    val = 0
+    for coeff in reversed(cot_polynomial(r)):
+        val = val * c + coeff
     return val if r % 2 == 0 else -val
 
 

@@ -249,6 +249,16 @@ class TestClassNumber:
         with pytest.raises(ValueError):
             class_number(13)
 
+    def test_uncertified_exact_routes_raise(self, monkeypatch):
+        monkeypatch.setattr(asympt, "quadratic_sawtooth_sum",
+                            lambda p: Fraction(1, 2))
+        with pytest.raises(VerificationError, match="not an integer"):
+            class_number(7, "sawtooth")
+        # odd j only: the weighted sum 1 + 3 + 5 is not divisible by 7
+        monkeypatch.setattr(asympt, "legendre_symbol", lambda j, p: j % 2)
+        with pytest.raises(VerificationError, match="not an integer"):
+            class_number(7, "dirichlet")
+
 
 class TestRamanujanIdentity:
     def test_small_sweep_clean(self):

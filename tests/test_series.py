@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import PowerSeries, euler_series, partition_series
 from pcores.precision import DEFAULT_PRECISION
-from pcores.series import (PowerSeries, euler_series, eta_quotient_value,
-                           partition_series, partitions, pcore_count,
+from pcores.series import (eta_quotient_value, partitions, pcore_count,
                            pcore_count_bruteforce, pcore_numerator,
                            pcore_series)
 
@@ -43,9 +43,7 @@ class TestPartitionSeries:
 class TestPcoreSeries:
     def test_agrees_with_partitions_below_p(self):
         for p in (5, 7, 11, 13):
-            series = pcore_series(p, p - 1)
-            reference = partition_series(p - 1)
-            assert series.coefficients == reference.coefficients
+            assert pcore_series(p, p - 1) == partition_series(p - 1).coefficients
 
     def test_small_values(self):
         assert pcore_count(5, 4) == 5
@@ -63,12 +61,19 @@ class TestPcoreSeries:
         # numerator prod (1-x^(pj))^p
         for p in (5, 7):
             nmax = 200
-            lhs = pcore_series(p, nmax) * euler_series(nmax)
-            assert lhs.coefficients == pcore_numerator(p, nmax).coefficients
+            lhs = PowerSeries(pcore_series(p, nmax)) * euler_series(nmax)
+            assert list(lhs.coefficients) == pcore_numerator(p, nmax)
+
+    @given(p=st.integers(2, 13), nmax=st.integers(0, 120))
+    def test_numerator_against_oracle_expansion(self, p, nmax):
+        # core series * E(x) equals E(x^p)^p, expanded by the oracle's own
+        # multiplication, which shares no code with pcore_numerator
+        lhs = PowerSeries(pcore_series(p, nmax)) * euler_series(nmax)
+        assert lhs == euler_series(nmax // p).dilate(p, nmax) ** p
 
     def test_counts_nonnegative(self):
         for p in (2, 3, 5, 7, 11, 13):
-            assert all(c >= 0 for c in pcore_series(p, 300).coefficients)
+            assert all(c >= 0 for c in pcore_series(p, 300))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -114,6 +119,19 @@ class TestPowerSeries:
         b = PowerSeries(tuple(reversed(coeffs)))
         assert (a + b).coefficients == (b + a).coefficients
 
+    @given(a=st.lists(st.integers(-9, 9), min_size=1, max_size=8),
+           b=st.lists(st.integers(-9, 9), min_size=1, max_size=8))
+    def test_multiplication_commutes(self, a, b):
+        a, b = PowerSeries(tuple(a)), PowerSeries(tuple(b))
+        assert (a * b).coefficients == (b * a).coefficients
+
+    def test_euler_series_examples(self):
+        # (1-x)(1-x^2)(1-x^3)... = 1 - x - x^2 + x^5 + x^7 - x^12 - x^15 + ...
+        assert euler_series(15).coefficients == (
+            1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1, 0, 0, -1)
+        with pytest.raises(ValueError):
+            euler_series(-1)
+
 
 class TestEtaQuotientValue:
     def test_value_at_zero(self):
@@ -147,9 +165,7 @@ class TestEtaQuotientValue:
         p = 5
         nmax = 500
         series = (euler_series(nmax) ** p
-                  * PowerSeries(tuple(partition_series(nmax // p)[k // p]
-                                      if k % p == 0 else 0
-                                      for k in range(nmax + 1))))
+                  * partition_series(nmax // p).dilate(p, nmax))
         exact = series.evaluate(Fraction(1, 10))
         ctx = DEFAULT_PRECISION.context()
         value = eta_quotient_value(p, ctx.mpf(1) / 10, 500, "H").value

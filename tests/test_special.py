@@ -19,22 +19,27 @@ class TestCotPolynomial:
     def test_first_polynomials(self):
         # d/dx cot = -(1+cot^2); the polynomial tracks |f| with sign
         # handled by the (-1)^r factor in cot_derivative
-        assert cot_polynomial(1).coefficients == (1, 0, 1)
-        assert cot_polynomial(2).coefficients == (0, 2, 0, 2)
-        assert cot_polynomial(3).coefficients == (2, 0, 8, 0, 6)
+        assert cot_polynomial(1) == (1, 0, 1)
+        assert cot_polynomial(2) == (0, 2, 0, 2)
+        assert cot_polynomial(3) == (2, 0, 8, 0, 6)
 
     def test_degree_and_leading_coefficient(self):
         for r in range(1, 12):
             poly = cot_polynomial(r)
-            assert poly.degree == r + 1
-            assert poly.coefficients[-1] == math.factorial(r)
-            assert all(c >= 0 for c in poly.coefficients)
+            assert len(poly) - 1 == r + 1
+            assert poly[-1] == math.factorial(r)
+            assert all(c >= 0 for c in poly)
 
     def test_evaluate_matches_horner_expansion(self):
-        poly = cot_polynomial(3)
-        t = Fraction(3, 7)
-        direct = sum(c * t ** i for i, c in enumerate(poly.coefficients))
-        assert poly.evaluate(t) == direct
+        # cot_derivative evaluates f_r by Horner's rule; compare with the
+        # polynomial summed term by term at the same cotangent value
+        ctx = DEFAULT_PRECISION.context()
+        for r in (1, 2, 3, 6):
+            for q in (Fraction(1, 7), Fraction(3, 7), Fraction(5, 7)):
+                t = ctx.cot(ctx.pi * ctx.mpf(q.numerator) / q.denominator)
+                direct = sum(c * t ** i for i, c in enumerate(cot_polynomial(r)))
+                value = cot_derivative(r, q)
+                assert abs(value - (-1) ** r * direct) < 1e-55 * abs(direct)
 
     def test_rejects_r_zero(self):
         with pytest.raises(ValueError):
