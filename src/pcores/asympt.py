@@ -260,20 +260,18 @@ def leading_constant_report(p: int,
     """Evaluate every applicable variant and reconcile.
 
     The exact Bernoulli variant, certified a positive integer as in
-    approx_divisor_sum, fixes the magnitude, the Hurwitz-zeta
-    variant fixes the sign, and every variant must agree in absolute value
-    to relative error 10^-(decimal_digits/2); disagreement raises
-    VerificationError.  The consensus is asserted to be a positive integer.
+    approx_divisor_sum, is the consensus; the Hurwitz-zeta variant must be
+    positive too, and every variant must agree in absolute value to
+    relative error 10^-(decimal_digits/2).  Any failure raises
+    VerificationError.
     """
     _require_p(p)
     names = ["i", "ii", "iii", "iv"] + (["v", "vi"] if p % 4 == 3 else [])
     values = {v: leading_constant(p, v, config) for v in names}
     magnitude = _certified_constant(p, values["iv"])
-    sign = 1 if values["i"] > 0 else -1
-    consensus = sign * magnitude
-    if consensus <= 0:
+    if values["i"] <= 0:
         raise VerificationError(
-            f"leading constant for p={p} not positive: {consensus}")
+            f"leading constant for p={p} not positive: {-magnitude}")
     tolerance = 10.0 ** -(config.decimal_digits // 2)
     # Both sides of each float division are scaled by one power of two, an
     # exact step that keeps constants above 10^308 in float range.
@@ -289,7 +287,7 @@ def leading_constant_report(p: int,
                 f"variant {name} for p={p} off consensus {magnitude} by "
                 f"relative {residuals[name]:.3e}")
     return CpReport(p=p, values=values, signs=signs, residuals=residuals,
-                    consensus=consensus, tolerance=tolerance)
+                    consensus=magnitude, tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -528,39 +526,10 @@ def verify_dirichlet_series(p: int, s: int, n: int, kmax: int,
         deviation=deviation, tail_bound=tail, tolerance=tail + 1e-20)
 
 
-@dataclass(frozen=True)
-class TransformCase:
-    """One instance of the modular transformation check.
-
-    The left side samples the p-core product f at e^(2*pi*i*h/k - t); the
-    right side pairs the reciprocal-argument product H at
-    e^(2*pi*i*B/k - 4*pi^2/(k^2*p*t)) with the closed-form prefactor, where
-    B*p*h = -1 mod k.
-    """
-
-    p: int
-    h: int
-    k: int
-    t: float
-    factors: int = 400
-
-    def __post_init__(self) -> None:
-        _require_p(self.p, self.k)
-        if not 0 <= self.h < self.k:
-            raise ValueError("need 0 <= h < k")
-        if gcd(self.h, self.k) != 1:
-            raise ValueError("need gcd(h,k) = 1")
-        if not self.t > 0:
-            raise ValueError("t must be positive")
-        if self.factors < 1:
-            raise ValueError("factors must be >= 1")
-
-
 @dataclass
 class TransformReport:
     """Both sides of the transformation and how close they came."""
 
-    case: TransformCase
     lhs: object
     rhs: object
     relative_deviation: float
@@ -575,27 +544,44 @@ class TransformReport:
                 and self.truncation_bound <= self.tolerance)
 
 
-def verify_eta_transform(case: TransformCase,
-                         config: PrecisionConfig = DEFAULT_PRECISION,
-                         tolerance: float = 1e-12) -> TransformReport:
+# Bound on both the relative deviation and the truncation bound of a
+# passing modular-transformation check.
+_TRANSFORM_TOLERANCE = 1e-12
+
+
+def verify_eta_transform(p: int, h: int, k: int, t: float, factors: int = 400,
+                         config: PrecisionConfig = DEFAULT_PRECISION) -> TransformReport:
     """Evaluate both sides of the modular transformation numerically.
+
+    The left side samples the p-core product f at e^(2*pi*i*h/k - t); the
+    right side pairs the reciprocal-argument product H at
+    e^(2*pi*i*B/k - 4*pi^2/(k^2*p*t)) with the closed-form prefactor, where
+    B*p*h = -1 mod k.  Each product keeps its first ``factors`` factors.
 
     The power of t in the prefactor is -(p-1)/2; the report also carries
     the deviation under the opposite-sign reading so the resolution of
     that ambiguity stays on the record.
     """
-    p, h, k = case.p, case.h, case.k
+    _require_p(p, k)
+    if not 0 <= h < k:
+        raise ValueError("need 0 <= h < k")
+    if gcd(h, k) != 1:
+        raise ValueError("need gcd(h,k) = 1")
+    if not t > 0:
+        raise ValueError("t must be positive")
+    if factors < 1:
+        raise ValueError("factors must be >= 1")
     ctx = config.context()
-    t = ctx.mpf(case.t)
+    t = ctx.mpf(t)
     half = (p - 1) // 2
 
     x = ctx.expjpi(to_mpf(ctx, Fraction(2 * h, k))) * ctx.exp(-t)
-    lhs_value = eta_quotient_value(p, x, case.factors, "f", config)
+    lhs_value = eta_quotient_value(p, x, factors, "f", config)
 
     b = 0 if k == 1 else (-pow(p * h % k, -1, k)) % k
     y = ctx.expjpi(to_mpf(ctx, Fraction(2 * b, k))) \
         * ctx.exp(-4 * ctx.pi ** 2 / (k * k * p * t))
-    rhs_value = eta_quotient_value(p, y, case.factors, "H", config)
+    rhs_value = eta_quotient_value(p, y, factors, "H", config)
 
     prefactor = _prefactor(ctx, p, k) * legendre_symbol(k, p)
     prefactor *= t ** (-half)
@@ -609,11 +595,10 @@ def verify_eta_transform(case: TransformCase,
     alt = rhs * t ** (p - 1)  # the opposite exponent reading, t^(+(p-1)/2)
     alt_deviation = float(abs(lhs - alt)) / scale
     trunc = lhs_value.truncation_bound + rhs_value.truncation_bound
-    return TransformReport(case=case, lhs=lhs, rhs=rhs,
-                           relative_deviation=deviation,
+    return TransformReport(lhs=lhs, rhs=rhs, relative_deviation=deviation,
                            alt_exponent_deviation=alt_deviation,
                            truncation_bound=trunc, exponent=-half,
-                           tolerance=tolerance)
+                           tolerance=_TRANSFORM_TOLERANCE)
 
 
 @dataclass

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 from . import cache
 from .arith import is_prime
-from .asympt import (TransformCase, approx_divisor_sum, approx_singular_series,
+from .asympt import (approx_divisor_sum, approx_singular_series,
                      bernoulli_char_sum, class_number, cotangent_char_sum,
                      divisibility_scan, leading_constant,
                      leading_constant_report, verify_dedekind_parity,
@@ -161,9 +161,8 @@ def _dirichlet_series(args, config):
 
 
 def _eta_transform(args, config):
-    case = TransformCase(p=args.p, h=args.h, k=args.k, t=args.t,
-                         factors=args.factors)
-    report = verify_eta_transform(case, config, args.tolerance)
+    report = verify_eta_transform(args.p, args.h, args.k, args.t,
+                                  args.factors, config)
     values = {"lhs": _number_str(report.lhs, config),
               "rhs": _number_str(report.rhs, config),
               "exponent": report.exponent,
@@ -276,8 +275,7 @@ COMMANDS = (
     Command("verify eta-transform",
             "modular transformation of the core product",
             (_option("--p", 5), _option("--h", 1), _option("--k", 2),
-             _option("--t", 0.5, float), _option("--factors", 400),
-             _option("--tolerance", 1e-12, float)),
+             _option("--t", 0.5, float), _option("--factors", 400)),
             _eta_transform),
     Command("verify fft", "finite Fourier transform table",
             (_option("--kmax", 13), _option("--rmax", 6), _option("--smax", 6),

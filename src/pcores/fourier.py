@@ -75,20 +75,17 @@ class DftReport:
     max_deviation: float
     tolerance: float
     passed: bool
-    note: str | None = None
 
 
 def _row(name: str, k: int, parameters: dict, samples, expected,
-         config: PrecisionConfig, note=None) -> DftReport:
+         config: PrecisionConfig) -> DftReport:
     """Transform the grid of samples and compare it, index by index, with
-    the closed-form values; note, if given, maps the transform to the
-    report's note."""
+    the closed-form values."""
     transform = dft(grid_function(k, samples), config).samples
     worst = max(float(abs(t - e)) for t, e in zip(transform, expected))
     tol = 10.0 ** -(config.decimal_digits - 15)
     return DftReport(name=name, k=k, parameters=parameters,
-                     max_deviation=worst, tolerance=tol, passed=worst <= tol,
-                     note=note(transform) if note else None)
+                     max_deviation=worst, tolerance=tol, passed=worst <= tol)
 
 
 def check_bernoulli_row(k: int, r: int,
@@ -96,8 +93,9 @@ def check_bernoulli_row(k: int, r: int,
     """Transform of B_r(j/k) against k*r*(i/2k)^r * cot^(r-1)(pi*mu/k).
 
     At mu = 0 the transform is k^(1-r)*B_r.  At r = 1 the closed form
-    needs an extra constant -1/2 at every nonzero mu; the report carries
-    the deviation of the unshifted form in its note.
+    needs an extra constant -1/2 at every nonzero mu, which the row adds:
+    B_1 jumps at the integers, and the grid samples B_1(0) = -1/2 where
+    the Fourier series takes the midpoint 0.
     """
     if k < 2 or r < 1:
         raise ValueError("need k >= 2 and r >= 1")
@@ -105,19 +103,12 @@ def check_bernoulli_row(k: int, r: int,
     samples = (to_mpf(ctx, bernoulli_poly(r, Fraction(j, k))) for j in range(k))
     i_pow = ctx.mpc((1, 1j, -1, -1j)[r % 4])
     scale = ctx.mpf(k) * r / (2 * k) ** r
-    plain = [i_pow * (scale * cot_derivative(r - 1, Fraction(mu, k), config))
-             for mu in range(1, k)]
+    closed = [i_pow * (scale * cot_derivative(r - 1, Fraction(mu, k), config))
+              for mu in range(1, k)]
     head = ctx.mpc(to_mpf(ctx, bernoulli_number(r) * Fraction(1, k ** (r - 1))))
-    if r > 1:
-        return _row("bernoulli", k, {"r": r}, samples, [head] + plain, config)
-
-    def note(transform) -> str:
-        miss = max(float(abs(t - e)) for t, e in zip(transform[1:], plain))
-        return (f"closed form without the -1/2 shift misses by "
-                f"{miss:.3g} at nonzero indices")
-
-    shifted = [head] + [e - ctx.mpf(1) / 2 for e in plain]
-    return _row("bernoulli", k, {"r": r}, samples, shifted, config, note)
+    if r == 1:
+        closed = [e - ctx.mpf(1) / 2 for e in closed]
+    return _row("bernoulli", k, {"r": r}, samples, [head] + closed, config)
 
 
 def check_legendre_row(p: int,

@@ -95,12 +95,6 @@ class SnappedInteger:
     nearest: int
     residual: float
 
-    def __int__(self) -> int:
-        return self.nearest
-
-    def __index__(self) -> int:
-        return self.nearest
-
 
 def snap_integer(value, config: PrecisionConfig = DEFAULT_PRECISION,
                  label: str = "value") -> SnappedInteger:

@@ -108,7 +108,6 @@ class ProductValue:
     """A partial infinite product and a bound on its relative truncation error."""
 
     value: object
-    factors: int
     truncation_bound: float
 
 
@@ -153,4 +152,4 @@ def eta_quotient_value(p: int, x, factors: int, which: str,
     coeff = 1 if which == "F" else p + 1
     tail = coeff * radius ** (factors + 1) / (1.0 - radius) ** 2
     bound = math.expm1(tail) if tail < 700 else math.inf
-    return ProductValue(value=+val, factors=factors, truncation_bound=bound)
+    return ProductValue(value=+val, truncation_bound=bound)

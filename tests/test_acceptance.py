@@ -14,12 +14,11 @@ from math import gcd
 
 import pytest
 
-from pcores.asympt import (TransformCase, approx_divisor_sum,
-                           approx_singular_series, bernoulli_char_sum,
-                           class_number, cotangent_char_sum,
-                           leading_constant_report, verify_dedekind_parity,
-                           verify_dirichlet_series, verify_eta_transform,
-                           verify_ramanujan_identity)
+from pcores.asympt import (approx_divisor_sum, approx_singular_series,
+                           bernoulli_char_sum, class_number,
+                           cotangent_char_sum, leading_constant_report,
+                           verify_dedekind_parity, verify_dirichlet_series,
+                           verify_eta_transform, verify_ramanujan_identity)
 from pcores.cli import run_cli
 from pcores.fourier import verify_transform_table
 from pcores.series import pcore_count, pcore_count_bruteforce
@@ -253,8 +252,7 @@ class TestCriterion12:
         failed = []
         for p, h, k in ((5, 1, 2), (7, 2, 3), (13, 1, 4)):
             for t in (0.5, 0.6):
-                rep = verify_eta_transform(
-                    TransformCase(p=p, h=h, k=k, t=t, factors=400))
+                rep = verify_eta_transform(p, h, k, t, factors=400)
                 worst = max(worst, rep.relative_deviation)
                 assert rep.exponent == -(p - 1) // 2
                 if not rep.passed:

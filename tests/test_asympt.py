@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from pcores.asympt import (TransformCase, approx_divisor_sum,
-                           approx_singular_series, bernoulli_char_sum,
-                           class_number, cotangent_char_sum,
-                           divisibility_scan, exp_sum, leading_constant,
-                           leading_constant_report, quadratic_sawtooth_sum,
+from pcores.asympt import (approx_divisor_sum, approx_singular_series,
+                           bernoulli_char_sum, class_number,
+                           cotangent_char_sum, divisibility_scan, exp_sum,
+                           leading_constant, leading_constant_report,
+                           quadratic_sawtooth_sum,
                            singular_term, verify_dedekind_parity,
                            verify_dirichlet_series, verify_eta_transform,
                            verify_quadratic_trig_identity,
@@ -310,38 +310,37 @@ class TestDirichletSeries:
 
 class TestEtaTransform:
     def test_reference_case(self):
-        report = verify_eta_transform(TransformCase(p=5, h=1, k=2, t=0.5))
+        report = verify_eta_transform(5, 1, 2, 0.5)
         assert report.passed
         assert report.relative_deviation < 1e-50
         assert report.exponent == -2
 
     def test_wrong_exponent_reading_fails_clearly(self):
-        report = verify_eta_transform(TransformCase(p=5, h=1, k=2, t=0.5))
+        report = verify_eta_transform(5, 1, 2, 0.5)
         assert report.alt_exponent_deviation > 0.1
 
     def test_k1_case(self):
-        report = verify_eta_transform(TransformCase(p=5, h=0, k=1, t=0.7))
+        report = verify_eta_transform(5, 0, 1, 0.7)
         assert report.passed
 
     def test_truncation_bound_gates_pass(self):
-        report = verify_eta_transform(
-            TransformCase(p=5, h=1, k=2, t=0.5, factors=6))
+        report = verify_eta_transform(5, 1, 2, 0.5, factors=6)
         assert not report.passed
         assert report.truncation_bound > 1e-12
 
     def test_case_validation(self):
         with pytest.raises(ValueError):
-            TransformCase(p=5, h=2, k=4, t=0.5)
+            verify_eta_transform(5, 2, 4, 0.5)
         with pytest.raises(ValueError):
-            TransformCase(p=5, h=1, k=5, t=0.5)
+            verify_eta_transform(5, 1, 5, 0.5)
         with pytest.raises(ValueError):
-            TransformCase(p=5, h=1, k=2, t=0.0)
+            verify_eta_transform(5, 1, 2, 0.0)
 
     def test_case_shares_the_denominator_checks(self):
         with pytest.raises(ValueError, match="divisible by p"):
-            TransformCase(p=7, h=1, k=14, t=0.5)
+            verify_eta_transform(7, 1, 14, 0.5)
         with pytest.raises(ValueError, match="k must be >= 1"):
-            TransformCase(p=5, h=0, k=0, t=0.5)
+            verify_eta_transform(5, 0, 0, 0.5)
 
 
 class TestTrigIdentity:

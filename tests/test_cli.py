@@ -173,6 +173,13 @@ class TestVerifySubcommands:
         assert code == 1
         assert "pass: false" in out
 
+    def test_eta_transform_tolerance_is_fixed(self, capsys):
+        # a looser tolerance could only pass a product too shallow to check
+        code, out, _ = run(capsys, "verify", "eta-transform",
+                           "--factors", "1", "--tolerance", "inf")
+        assert code == 2
+        assert out == ""
+
     def test_trig_identity(self, capsys):
         code, out, _ = run(capsys, "verify", "trig-identity", "--r", "2",
                            "--p", "7", "--format", "json")

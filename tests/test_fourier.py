@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from pcores.arith import bernoulli_poly
 from pcores.fourier import (check_bernoulli_row, check_legendre_row,
                             check_zeta_row, dft, grid_function,
                             inner_product, verify_transform_table)
 from pcores.precision import DEFAULT_PRECISION
-from pcores.special import periodic_zeta
+from pcores.special import cot_derivative, periodic_zeta
 
 
 class TestDft:
@@ -67,8 +68,13 @@ class TestBernoulliRows:
         report = check_bernoulli_row(2, 1)
         assert report.passed
         assert report.max_deviation < 1e-45
-        # without the -1/2 shift the nonzero frequency misses by exactly it
-        assert report.note is not None and "0.5" in report.note
+        # without the -1/2 shift the nonzero frequency misses by exactly it:
+        # the B_1 grid transforms to -1/2 at mu = 1, the unshifted closed
+        # form k*(i/2k)*cot(pi/2) to 0
+        grid = grid_function(2, [bernoulli_poly(1, Fraction(j, 2))
+                                 for j in range(2)])
+        unshifted = 2 * (1j / 4) * cot_derivative(0, Fraction(1, 2))
+        assert abs(abs(dft(grid).samples[1] - unshifted) - 0.5) < 1e-45
 
     def test_k5_r3_tight(self):
         report = check_bernoulli_row(5, 3)

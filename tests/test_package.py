@@ -1,0 +1,56 @@
+"""The package as callers see it: what an import loads, and the README's
+library example."""
+
+import ast
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("module", ["pcores.arith", "pcores.cache"])
+def test_import_loads_no_other_layer(module):
+    # the pure-integer layers must not pay for mpmath or the other layers
+    probe = (f"import sys, json, {module}\n"
+             "print(json.dumps(sorted(name for name in sys.modules\n"
+             "    if name.split('.')[0] in ('mpmath', 'pcores'))))")
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == ["pcores", module]
+
+
+def test_readme_library_example():
+    # every expression line commented with a number must evaluate to it;
+    # "~x" means within 5 %
+    readme = (REPO_ROOT / "README.md").read_text()
+    section = readme.partition("## Library example")[2]
+    source = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    lines = source.splitlines()
+    namespace = {}
+    checked = 0
+    for statement in ast.parse(source).body:
+        if not isinstance(statement, ast.Expr):
+            exec(compile(ast.Module([statement], []), "README", "exec"),
+                 namespace)
+            continue
+        value = eval(compile(ast.Expression(statement.value), "README",
+                             "eval"), namespace)
+        comment = lines[statement.end_lineno - 1].partition("#")[2]
+        claim = re.match(r"\s*(~?)(-?[0-9.]+(?:e-?[0-9]+)?)", comment)
+        assert claim, f"no value in the comment of line {statement.lineno}"
+        approximate, number = claim.groups()
+        if approximate:
+            assert math.isclose(value, float(number), rel_tol=0.05)
+        else:
+            assert value == int(number)
+        checked += 1
+    assert checked == 4
