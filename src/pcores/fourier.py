@@ -11,13 +11,15 @@ identity hold for arbitrary grids.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import bernoulli_number, bernoulli_poly, is_prime, legendre_symbol
 from .precision import DEFAULT_PRECISION, PrecisionConfig, to_mpf
-from .special import cot_derivative, hurwitz_zeta, periodic_zeta
+from .special import _fold, cot_derivative, hurwitz_zeta, periodic_zeta
 
 
 @dataclass(frozen=True)
@@ -38,13 +40,19 @@ def grid_function(k: int, values) -> GridFunction:
     return GridFunction(k=k, samples=tuple(values))
 
 
-def _roots(ctx, k: int):
-    # e^(-2*pi*i*m/k) for m = 0..k-1, from exact rational phases
-    return [ctx.expjpi(to_mpf(ctx, Fraction(-2 * m, k))) for m in range(k)]
+@functools.lru_cache(maxsize=None)
+def _roots(ctx, k: int) -> tuple:
+    # e^(-2*pi*i*m/k) for m = 0..k-1, from exact rational phases; keyed on
+    # the context, so each precision gets its own table
+    return tuple(ctx.expjpi(to_mpf(ctx, Fraction(-2 * m, k)))
+                 for m in range(k))
 
 
 def dft(g: GridFunction, config: PrecisionConfig = DEFAULT_PRECISION) -> GridFunction:
-    """Direct O(k^2) transform; k stays small and precision is the point."""
+    """Direct O(k^2) transform; k stays small and precision is the point.
+
+    The k roots of unity are computed once per (precision, k) and cached.
+    """
     ctx = config.context()
     k = g.k
     roots = _roots(ctx, k)
@@ -124,22 +132,56 @@ def check_legendre_row(p: int,
                 config)
 
 
+class _ZetaMemo:
+    """zeta(s, a) and l(s, x), each distinct value computed once.
+
+    zeta is keyed on (s, a) with a a reduced fraction.  l is stored only at
+    the folded argument in [0, 1/2] and conjugated on the way out, as
+    periodic_zeta itself does, so the values are bit-identical to fresh
+    calls.
+    """
+
+    def __init__(self, config: PrecisionConfig) -> None:
+        self.config = config
+        self.zetas: dict = {}
+        self.periodics: dict = {}
+
+    def zeta(self, s: int, a: Fraction):
+        if (s, a) not in self.zetas:
+            self.zetas[s, a] = hurwitz_zeta(s, a, self.config)
+        return self.zetas[s, a]
+
+    def periodic(self, s: int, x: Fraction):
+        x, conjugate = _fold(x)
+        if (s, x) not in self.periodics:
+            self.periodics[s, x] = periodic_zeta(s, x, self.config)
+        value = self.periodics[s, x]
+        return self.config.context().conj(value) if conjugate else value
+
+
+# The memo of the verify_transform_table call in progress, if any, so that
+# its rows share values while each row stays a check_zeta_row call.
+_TABLE_MEMO = contextvars.ContextVar("_TABLE_MEMO", default=None)
+
+
 def check_zeta_row(k: int, s: int,
                    config: PrecisionConfig = DEFAULT_PRECISION) -> DftReport:
     """Transform of zeta(s, j/k) samples against k^s * l(s, 1 - mu/k).
 
     The j = 0 slot samples a = 1 (the argument domain is (0,1]); on the
-    closed-form side 1 - 0 is likewise read as 1.
+    closed-form side 1 - 0 is likewise read as 1.  Each distinct zeta(s, a)
+    and l(s, x) is evaluated once; inside verify_transform_table the rows
+    share those values for the whole call.
     """
     if k < 2:
         raise ValueError("need k >= 2")
-    ctx = config.context()
+    memo = _TABLE_MEMO.get() or _ZetaMemo(config)
+    scale = config.context().mpf(k) ** s
     return _row(
         "zeta", k, {"s": s},
-        (hurwitz_zeta(s, Fraction(j, k) if j else Fraction(1), config)
+        (memo.zeta(s, Fraction(j, k) if j else Fraction(1))
          for j in range(k)),
-        (ctx.mpf(k) ** s * periodic_zeta(s, Fraction(k - mu, k), config)
-         for mu in range(k)),
+        (scale * memo.periodic(s, Fraction(k - mu, k)) for mu in range(k)),
         config)
 
 
@@ -177,19 +219,29 @@ def verify_transform_table(kmax: int = 13, rmax: int = 6, smax: int = 6,
                            config: PrecisionConfig = DEFAULT_PRECISION) -> TableReport:
     """Run every closed-form row in range plus Parseval on pseudo-random
     grids drawn from the fixed seed _GRID_SEED and the double-transform
-    reflection identity."""
+    reflection identity.
+
+    Each distinct zeta(s, a) and l(s, x) is evaluated once per call, and the
+    reflection check reuses the transforms Parseval already took.
+    grid_kmax must be >= 2: a one-point transform is the identity, so the
+    grid checks would compare each value with itself.
+    """
     for name, value, least in (
             ("kmax", kmax, 2), ("rmax", rmax, 1), ("smax", smax, 2),
             ("pmax", pmax, 3), ("grids", grids, 2),
-            ("grid_kmax", grid_kmax, 1)):
+            ("grid_kmax", grid_kmax, 2)):
         if value < least:  # the family would check nothing
             raise ValueError(f"{name} must be >= {least}")
     report = TableReport(grid_tolerance=10.0 ** -(config.decimal_digits - 10))
-    for k in range(2, kmax + 1):
-        for r in range(1, rmax + 1):
-            report.rows.append(check_bernoulli_row(k, r, config))
-        for s in range(2, smax + 1):
-            report.rows.append(check_zeta_row(k, s, config))
+    token = _TABLE_MEMO.set(_ZetaMemo(config))
+    try:
+        for k in range(2, kmax + 1):
+            for r in range(1, rmax + 1):
+                report.rows.append(check_bernoulli_row(k, r, config))
+            for s in range(2, smax + 1):
+                report.rows.append(check_zeta_row(k, s, config))
+    finally:
+        _TABLE_MEMO.reset(token)
     for p in range(3, pmax + 1):
         if is_prime(p):
             report.rows.append(check_legendre_row(p, config))
@@ -198,14 +250,20 @@ def verify_transform_table(kmax: int = 13, rmax: int = 6, smax: int = 6,
     pool = [_random_grid(ctx, rng, rng.randint(1, grid_kmax))
             for _ in range(grids)]
     report.grids = len(pool)
-    for f, g in zip(pool[0::2], pool[1::2]):
-        if f.k != g.k:
+    hats = {}  # pool index -> transform, reused by the reflection check
+    for i in range(0, len(pool) - 1, 2):
+        f, g = pool[i], pool[i + 1]
+        hats[i] = dft(f, config)
+        if f.k == g.k:
+            hats[i + 1] = g_hat = dft(g, config)
+        else:
             g = _random_grid(ctx, rng, f.k)
-        lhs = inner_product(dft(f, config), dft(g, config), config)
+            g_hat = dft(g, config)
+        lhs = inner_product(hats[i], g_hat, config)
         rhs = f.k * inner_product(f, g, config)
         report.parseval_max = max(report.parseval_max, float(abs(lhs - rhs)))
-    for f in pool[:10]:
-        double = dft(dft(f, config), config)
+    for i, f in enumerate(pool[:10]):
+        double = dft(hats[i] if i in hats else dft(f, config), config)
         for j in range(f.k):
             dev = float(abs(double.samples[j] - f.k * ctx.convert(f.samples[-j % f.k])))
             report.involution_max = max(report.involution_max, dev)

@@ -118,6 +118,15 @@ def hurwitz_zeta_neg(m: int, a) -> Fraction:
     return -bernoulli_poly(m + 1, Fraction(a)) / (m + 1)
 
 
+def _fold(x) -> tuple[Fraction, bool]:
+    """x reduced mod 1 onto [0, 1/2], and whether l(s, x) is the conjugate
+    of l(s, folded x), by the termwise l(s, 1-x) = conj(l(s, x))."""
+    x = Fraction(x) % 1
+    if x > Fraction(1, 2):
+        return 1 - x, True
+    return x, False
+
+
 def periodic_zeta(s, x, config: PrecisionConfig = DEFAULT_PRECISION):
     """l(s, x) = sum_{n>=1} e^(2*pi*i*n*x) / n^s for real s >= 2, rational x.
 
@@ -128,14 +137,10 @@ def periodic_zeta(s, x, config: PrecisionConfig = DEFAULT_PRECISION):
     sf = float(s)
     if sf < 2:
         raise ValueError("periodic_zeta requires s >= 2")
-    x = Fraction(x) % 1
+    x, conjugate = _fold(x)
     ctx = config.context()
     if x == 0:
         return ctx.mpc(hurwitz_zeta(s, 1, config))
-    conjugate = False
-    if x > Fraction(1, 2):
-        x = 1 - x
-        conjugate = True
     z = ctx.expjpi(to_mpf(ctx, 2 * x))
     val = ctx.mpc(ctx.polylog(s if isinstance(s, int) else ctx.mpf(s), z))
     if conjugate:

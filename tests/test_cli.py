@@ -235,6 +235,7 @@ class TestUsageErrors:
         "verify ramanujan-identity --p 5 --kmax 0",
         "verify dedekind-parity --p 5 --kmax 0",
         "verify fft --kmax 1 --pmax 2 --grids 0",
+        "verify fft --kmax 2 --rmax 1 --smax 2 --pmax 3 --grids 2 --grid-kmax 1",
     ])
     def test_verify_checking_nothing(self, capsys, argv):
         code, out, err = run(capsys, *argv.split())

@@ -1,14 +1,17 @@
 """Finite Fourier transforms of Bernoulli, Legendre, and zeta grids."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import pcores.fourier
 from pcores.arith import bernoulli_poly
-from pcores.fourier import (check_bernoulli_row, check_legendre_row,
-                            check_zeta_row, dft, grid_function,
-                            inner_product, verify_transform_table)
-from pcores.precision import DEFAULT_PRECISION
+from pcores.fourier import (_ZetaMemo, check_bernoulli_row,
+                            check_legendre_row, check_zeta_row, dft,
+                            grid_function, inner_product,
+                            verify_transform_table)
+from pcores.precision import DEFAULT_PRECISION, PrecisionConfig
 from pcores.special import cot_derivative, periodic_zeta
 
 
@@ -43,6 +46,11 @@ class TestDft:
         lhs = dft(combined).samples
         rhs = [a + b for a, b in zip(dft(f).samples, dft(g).samples)]
         assert all(abs(x - y) < 1e-55 for x, y in zip(lhs, rhs))
+
+    def test_roots_are_keyed_on_precision(self):
+        # a 100-digit row after a 40-digit one must not reuse 40-digit roots
+        assert check_legendre_row(13, PrecisionConfig(40)).passed
+        assert check_legendre_row(13, PrecisionConfig(100)).max_deviation < 1e-85
 
 
 class TestInnerProduct:
@@ -123,6 +131,56 @@ class TestZetaRows:
                 report = check_zeta_row(k, s)
                 assert report.passed and report.max_deviation < 1e-40
 
+    @pytest.mark.parametrize("s", [2, 3, 5])
+    def test_memo_conjugates_folded_values_exactly(self, s):
+        memo = _ZetaMemo(DEFAULT_PRECISION)
+        for x in (Fraction(3, 5), Fraction(2, 3), Fraction(3, 4),
+                  Fraction(5, 6), Fraction(12, 13)):
+            assert memo.periodic(s, x) == periodic_zeta(s, x)
+        assert all(x <= Fraction(1, 2) for _, x in memo.periodics)
+
+
+class TestTableMemo:
+    SIZES = dict(kmax=6, rmax=1, smax=3, pmax=3, grids=2, grid_kmax=2)
+
+    def test_each_value_computed_once_per_call(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(s, x, config):
+                calls[name, s, x] += 1
+                return fn(s, x, config)
+            return wrapper
+
+        monkeypatch.setattr(pcores.fourier, "hurwitz_zeta",
+                            counting("zeta", pcores.fourier.hurwitz_zeta))
+        monkeypatch.setattr(pcores.fourier, "periodic_zeta",
+                            counting("l", pcores.fourier.periodic_zeta))
+        for _ in range(2):  # no value outlives a table call
+            calls.clear()
+            verify_transform_table(**self.SIZES)
+            assert set(calls.values()) == {1}
+            for s in (2, 3):
+                # 12 reduced fractions in (0, 1] with denominator <= 6, and
+                # 7 folded arguments 0, 1/2, 1/3, 1/4, 1/5, 2/5, 1/6
+                zetas = [a for name, t, a in calls if name == "zeta" and t == s]
+                folded = [x for name, t, x in calls if name == "l" and t == s]
+                assert len(zetas) == 12 and len(folded) == 7
+                assert all(0 <= x <= Fraction(1, 2) for x in folded)
+        # nor outlives it: a row on its own computes its values afresh
+        calls.clear()
+        check_zeta_row(6, 2)
+        # zeta(2, a) at a = 1/6, ..., 1 and l(2, x) at x = 0, 1/6, 1/3, 1/2
+        assert sum(calls.values()) == 6 + 4
+
+    def test_rows_match_fresh_rows(self):
+        table = verify_transform_table(**self.SIZES)
+        rows = [row for row in table.rows if row.name == "zeta"]
+        assert len(rows) == 5 * 2
+        for row in rows:
+            fresh = check_zeta_row(row.k, row.parameters["s"])
+            assert row.max_deviation == fresh.max_deviation
+
 
 class TestTable:
     def test_small_table(self):
@@ -143,7 +201,7 @@ class TestTable:
 
     @pytest.mark.parametrize("bound", [
         {"kmax": 1}, {"rmax": 0}, {"smax": 1}, {"pmax": 2}, {"grids": 1},
-        {"grid_kmax": 0}])
+        {"grid_kmax": 0}, {"grid_kmax": 1}])
     def test_family_selecting_nothing_rejected(self, bound):
         sizes = dict(kmax=3, rmax=2, smax=2, pmax=5, grids=6, grid_kmax=8)
         with pytest.raises(ValueError, match=next(iter(bound))):
