@@ -17,6 +17,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from mpmath.libmp import mpc_mul, mpc_mul_mpf, mpf_sum, round_nearest
+
 from .arith import bernoulli_number, bernoulli_poly, is_prime, legendre_symbol
 from .precision import DEFAULT_PRECISION, PrecisionConfig, to_mpf
 from .special import _fold, cot_derivative, hurwitz_zeta, periodic_zeta
@@ -42,9 +44,9 @@ def grid_function(k: int, values) -> GridFunction:
 
 @functools.lru_cache(maxsize=None)
 def _roots(ctx, k: int) -> tuple:
-    # e^(-2*pi*i*m/k) for m = 0..k-1, from exact rational phases; keyed on
-    # the context, so each precision gets its own table
-    return tuple(ctx.expjpi(to_mpf(ctx, Fraction(-2 * m, k)))
+    # raw mpc tuples of e^(-2*pi*i*m/k) for m = 0..k-1, from exact rational
+    # phases; keyed on the context, so each precision gets its own table
+    return tuple(ctx.expjpi(to_mpf(ctx, Fraction(-2 * m, k)))._mpc_
                  for m in range(k))
 
 
@@ -52,14 +54,28 @@ def dft(g: GridFunction, config: PrecisionConfig = DEFAULT_PRECISION) -> GridFun
     """Direct O(k^2) transform; k stays small and precision is the point.
 
     The k roots of unity are computed once per (precision, k) and cached.
+    Each output is what ctx.fsum(samples[j] * roots[j*mu % k]) returns,
+    computed on mpmath's raw tuples: each product rounded once (mpc_mul
+    for complex samples, mpc_mul_mpf for real ones), the real and
+    imaginary parts summed exactly and rounded once.  Nothing is cut; every
+    rounding is at the working precision, GUARD_DIGITS beyond the target.
     """
     ctx = config.context()
-    k = g.k
+    prec, k = ctx.prec, g.k
     roots = _roots(ctx, k)
-    samples = [ctx.convert(v) for v in g.samples]
+    samples = [(v._mpc_, True) if hasattr(v, "_mpc_") else (v._mpf_, False)
+               for v in map(ctx.convert, g.samples)]
     out = []
     for mu in range(k):
-        out.append(ctx.fsum(samples[j] * roots[j * mu % k] for j in range(k)))
+        real, imag = [], []
+        for j, (v, is_complex) in enumerate(samples):
+            root = roots[j * mu % k]
+            re, im = (mpc_mul(v, root, prec, round_nearest) if is_complex
+                      else mpc_mul_mpf(root, v, prec, round_nearest))
+            real.append(re)
+            imag.append(im)
+        out.append(ctx.make_mpc((mpf_sum(real, prec, round_nearest),
+                                 mpf_sum(imag, prec, round_nearest))))
     return GridFunction(k=k, samples=tuple(out))
 
 
@@ -138,7 +154,10 @@ class _ZetaMemo:
     zeta is keyed on (s, a) with a a reduced fraction.  l is stored only at
     the folded argument in [0, 1/2] and conjugated on the way out, as
     periodic_zeta itself does, so the values are bit-identical to fresh
-    calls.
+    calls.  l(s, 0) is the memo's own zeta(s, 1), as periodic_zeta would
+    compute it; every other l(s, x) is periodic_zeta's log series, cut
+    where |c_m| * pi^m < eps/8 and summed GUARD_DIGITS beyond the working
+    precision.
     """
 
     def __init__(self, config: PrecisionConfig) -> None:
@@ -153,10 +172,12 @@ class _ZetaMemo:
 
     def periodic(self, s: int, x: Fraction):
         x, conjugate = _fold(x)
+        ctx = self.config.context()
         if (s, x) not in self.periodics:
-            self.periodics[s, x] = periodic_zeta(s, x, self.config)
+            self.periodics[s, x] = (ctx.mpc(self.zeta(s, Fraction(1))) if x == 0
+                                    else periodic_zeta(s, x, self.config))
         value = self.periodics[s, x]
-        return self.config.context().conj(value) if conjugate else value
+        return ctx.conj(value) if conjugate else value
 
 
 # The memo of the verify_transform_table call in progress, if any, so that

@@ -2,8 +2,9 @@
 
 Hurwitz zeta via Euler-Maclaurin summation with an explicit error cut,
 its exact rational values at nonpositive integer arguments, the periodic
-zeta function on the unit circle, and arbitrary-order derivatives of the
-cotangent through an integer-coefficient polynomial recurrence.
+zeta function on the unit circle from its log series, and arbitrary-order
+derivatives of the cotangent through an integer-coefficient polynomial
+recurrence.
 """
 
 from __future__ import annotations
@@ -12,8 +13,12 @@ import functools
 import math
 from fractions import Fraction
 
+from mpmath.libmp import (from_int, mpf_div, mpf_neg, mpf_pow, mpf_sum,
+                          round_nearest)
+
 from .arith import bernoulli_number, bernoulli_poly
-from .precision import DEFAULT_PRECISION, PrecisionConfig, PrecisionError, to_mpf
+from .precision import (DEFAULT_PRECISION, GUARD_DIGITS, PrecisionConfig,
+                        PrecisionError, _context, to_mpf)
 
 
 @functools.lru_cache(maxsize=None)
@@ -60,6 +65,25 @@ def cot_derivative(r: int, q, config: PrecisionConfig = DEFAULT_PRECISION):
     return val if r % 2 == 0 else -val
 
 
+def _hurwitz_head(ctx, sm, a: Fraction, terms: int):
+    """sum_{n<terms} (n + a)^(-s) for s = sm, an mpf, on mpmath's raw tuples
+    with the roundings of fsum(to_mpf(ctx, n + a) ** -sm): (n*q + p)/q
+    rounded once, each power rounded once (mpf_pow hands integer exponents
+    to mpf_pow_int), the sum exact and rounded once."""
+    prec, p, q = ctx.prec, a.numerator, a.denominator
+    neg_s, den = mpf_neg(sm._mpf_), from_int(q)
+    return ctx.make_mpf(mpf_sum(
+        [mpf_pow(mpf_div(from_int(n * q + p), den, prec, round_nearest),
+                 neg_s, prec, round_nearest) for n in range(terms)],
+        prec, round_nearest))
+
+
+@functools.lru_cache(maxsize=None)
+def _euler_maclaurin_coefficient(ctx, j: int):
+    """B_{2j}/(2j)!, rounded once at the precision of ctx."""
+    return to_mpf(ctx, bernoulli_number(2 * j) / math.factorial(2 * j))
+
+
 def hurwitz_zeta(s, a, config: PrecisionConfig = DEFAULT_PRECISION):
     """zeta(s, a) = sum_{n>=0} (n+a)^(-s) for real s >= 2, rational a in (0,1].
 
@@ -70,6 +94,12 @@ def hurwitz_zeta(s, a, config: PrecisionConfig = DEFAULT_PRECISION):
     at x = M + a, with corrections added until the next one drops below
     10^-(decimal_digits+5).  With this M the series terms decrease well past
     the cut, so the stopping rule is an honest error bound.
+
+    Everything runs at the working precision, GUARD_DIGITS beyond
+    decimal_digits.  The head is summed on mpmath's raw tuples
+    (_hurwitz_head), with the roundings the mpf expression
+    fsum((n + a) ** -s) makes.  The tail's B_{2j}/(2j)! are rounded once
+    per (precision, j) and cached.
     """
     s_exact = Fraction(s) if isinstance(s, int) else s
     sf = float(s)
@@ -81,7 +111,7 @@ def hurwitz_zeta(s, a, config: PrecisionConfig = DEFAULT_PRECISION):
     ctx = config.context()
     sm = to_mpf(ctx, s_exact) if isinstance(s_exact, Fraction) else ctx.mpf(s_exact)
     M = max(2 * math.ceil(sf), config.decimal_digits)
-    total = ctx.fsum(to_mpf(ctx, n + a) ** (-sm) for n in range(M))
+    total = _hurwitz_head(ctx, sm, a, M)
     x = to_mpf(ctx, M + a)
     total += x ** (1 - sm) / (sm - 1)
     total += x ** (-sm) / 2
@@ -92,8 +122,7 @@ def hurwitz_zeta(s, a, config: PrecisionConfig = DEFAULT_PRECISION):
     previous = ctx.inf
     j = 1
     while True:
-        coeff = bernoulli_number(2 * j) / math.factorial(2 * j)
-        term = to_mpf(ctx, coeff) * rising * xpow
+        term = _euler_maclaurin_coefficient(ctx, j) * rising * xpow
         total += term
         size = abs(term)
         if size < eps:
@@ -127,22 +156,74 @@ def _fold(x) -> tuple[Fraction, bool]:
     return x, False
 
 
-def periodic_zeta(s, x, config: PrecisionConfig = DEFAULT_PRECISION):
-    """l(s, x) = sum_{n>=1} e^(2*pi*i*n*x) / n^s for real s >= 2, rational x.
+@functools.lru_cache(maxsize=None)
+def _log_series(ctx, s: int) -> tuple:
+    """The log series of l(s, x) for integer s >= 2, at GUARD_DIGITS beyond
+    ctx: (E, O, H_{s-1}), with E and O ascending coefficient tuples of the
+    real polynomials in
 
-    Evaluated as the polylogarithm at the exact root of unity e^(2*pi*i*x);
-    arguments past 1/2 use the termwise conjugation l(s, 1-x) = conj(l(s, x))
-    to stay on the well-conditioned half of the circle.  Always complex.
+        l(s, x) = E(t^2) + i*t*O(t^2)
+                  + (i*t)^(s-1)/(s-1)! * (H_{s-1} - log t + i*pi/2)
+
+    at t = 2*pi*x in (0, pi].  This is Li_s(e^w) = sum_{m != s-1}
+    zeta(s-m) w^m/m! + w^(s-1)/(s-1)! * (H_{s-1} - log(-w)) at w = i*t
+    (Lewin, Polylogarithms and Associated Functions, 1981, section 7):
+    the m-th coefficient c_m = zeta(s-m)/m! joins E for even m and O for
+    odd m, with the sign (-1)^(m//2) of i^m.  The series stops at the
+    first nonzero c_m with m >= s and |c_m| * pi^m < eps/8.  From m = s on
+    |c_m| * pi^m falls by a factor of more than 4 from one nonzero term to
+    the next, so what is dropped stays below eps/6 of ctx.
     """
-    sf = float(s)
-    if sf < 2:
-        raise ValueError("periodic_zeta requires s >= 2")
+    high = _context(ctx.dps + GUARD_DIGITS)
+    cut = ctx.eps / 8
+    parts = ([], [])
+    m, pi_m = 0, high.one
+    while True:
+        c = high.zeta(s - m) / math.factorial(m) if m != s - 1 else high.zero
+        if m >= s and c and abs(c) * pi_m < cut:
+            break
+        parts[m % 2].append(-c if m % 4 >= 2 else c)
+        m, pi_m = m + 1, pi_m * high.pi
+    for part in parts:  # the other parity's tail is all zeta(-2n) = 0
+        while not part[-1]:
+            part.pop()
+    harmonic = to_mpf(high, sum(Fraction(1, j) for j in range(1, s)))
+    return tuple(parts[0]), tuple(parts[1]), harmonic
+
+
+def _horner(coeffs, u):
+    """coeffs[0] + coeffs[1]*u + coeffs[2]*u^2 + ... by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * u + c
+    return acc
+
+
+def periodic_zeta(s: int, x, config: PrecisionConfig = DEFAULT_PRECISION):
+    """l(s, x) = sum_{n>=1} e^(2*pi*i*n*x) / n^s for integer s >= 2, rational x.
+
+    x is folded onto [0, 1/2] by the termwise conjugation
+    l(s, 1-x) = conj(l(s, x)).  l(s, 0) = zeta(s, 1); every other folded x
+    sums the log series of _log_series, whose coefficients are built once
+    per (precision, s) and cut where |c_m| * pi^m < eps/8.  E and O are
+    evaluated by Horner's rule GUARD_DIGITS beyond the working precision,
+    and the result is rounded once.  Always complex.
+    """
+    if s != int(s) or s < 2:
+        raise ValueError("periodic_zeta requires integer s >= 2")
+    s = int(s)
     x, conjugate = _fold(x)
     ctx = config.context()
     if x == 0:
         return ctx.mpc(hurwitz_zeta(s, 1, config))
-    z = ctx.expjpi(to_mpf(ctx, 2 * x))
-    val = ctx.mpc(ctx.polylog(s if isinstance(s, int) else ctx.mpf(s), z))
-    if conjugate:
-        val = ctx.conj(val)
-    return +val
+    even, odd, harmonic = _log_series(ctx, s)
+    high = _context(ctx.dps + GUARD_DIGITS)
+    t = 2 * high.pi * to_mpf(high, x)
+    u = t * t
+    scale = t ** (s - 1) / math.factorial(s - 1)
+    # (i*t)^(s-1)/(s-1)! * (H - log t + i*pi/2) as re + i*im, turned by i^(s-1)
+    re, im = scale * (harmonic - high.ln(t)), scale * high.pi / 2
+    for _ in range((s - 1) % 4):
+        re, im = -im, re
+    val = ctx.mpc(_horner(even, u) + re, t * _horner(odd, u) + im)
+    return ctx.conj(val) if conjugate else val

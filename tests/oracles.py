@@ -1,13 +1,17 @@
 """Reference expansions for the tests: truncated integer power series with
-their algebra, Euler's product and the partition generating function.
+their algebra, Euler's product and the partition generating function, and
+the mpmath-number expressions that the library's raw-tuple loops replace.
 
 The library returns plain coefficient tuples; these oracles share no code
 with it, so products formed here check its coefficients independently.
+The mpmath expressions round exactly where the raw-tuple code does, so the
+library must match them bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -99,3 +103,22 @@ def partition_series(nmax: int) -> PowerSeries:
     for n in range(1, nmax + 1):
         p[n] = -sum(sign * p[n - g] for g, sign in terms if g <= n)
     return PowerSeries(tuple(p))
+
+
+def hurwitz_head(ctx, s, a, terms: int):
+    """sum_{n<terms} (n + a)^(-s) as fsum of mpf powers, each n + a one
+    correctly rounded quotient; s is an int or a Fraction."""
+    s, a = Fraction(s), Fraction(a)
+    exponent = -ctx.fdiv(s.numerator, s.denominator)
+    return ctx.fsum(ctx.fdiv(n * a.denominator + a.numerator, a.denominator)
+                    ** exponent for n in range(terms))
+
+
+def dft_by_fsum(ctx, samples) -> list:
+    """fhat(mu) = sum_j f_j e^(-2*pi*i*j*mu/k) as ctx.fsum of mpmath
+    products, the roots from correctly rounded rational phases."""
+    k = len(samples)
+    roots = [ctx.expjpi(ctx.fdiv(-2 * m, k)) for m in range(k)]
+    values = [ctx.convert(v) for v in samples]
+    return [ctx.fsum(values[j] * roots[j * mu % k] for j in range(k))
+            for mu in range(k)]

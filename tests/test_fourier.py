@@ -1,11 +1,13 @@
 """Finite Fourier transforms of Bernoulli, Legendre, and zeta grids."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import pcores.fourier
+from oracles import dft_by_fsum
 from pcores.arith import bernoulli_poly
 from pcores.fourier import (_ZetaMemo, check_bernoulli_row,
                             check_legendre_row, check_zeta_row, dft,
@@ -46,6 +48,27 @@ class TestDft:
         lhs = dft(combined).samples
         rhs = [a + b for a, b in zip(dft(f).samples, dft(g).samples)]
         assert all(abs(x - y) < 1e-55 for x, y in zip(lhs, rhs))
+
+    @pytest.mark.parametrize("digits", [20, 60, 100])
+    def test_matches_fsum_expression(self, digits):
+        # the raw-tuple transform rounds where fsum(sample * root) does, on
+        # real and complex grids and on a transform of a transform
+        config = PrecisionConfig(digits)
+        ctx = config.context()
+        rng = random.Random(digits)
+        for k in (2, 5, 13, 32):
+            real = [ctx.mpf(rng.uniform(-1, 1)) for _ in range(k)]
+            exact = [bernoulli_poly(3, Fraction(j, k)) for j in range(k)]
+            plain = [rng.randint(-5, 5) for _ in range(k)]
+            complex_ = [ctx.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                        for _ in range(k)]
+            for samples in (real, exact, plain, complex_):
+                hat = dft(grid_function(k, samples), config).samples
+                expected = dft_by_fsum(ctx, samples)
+                assert [v._mpc_ for v in hat] == [v._mpc_ for v in expected]
+                double = dft(grid_function(k, hat), config).samples
+                assert ([v._mpc_ for v in double]
+                        == [v._mpc_ for v in dft_by_fsum(ctx, expected)])
 
     def test_roots_are_keyed_on_precision(self):
         # a 100-digit row after a 40-digit one must not reuse 40-digit roots
@@ -137,6 +160,7 @@ class TestZetaRows:
         for x in (Fraction(3, 5), Fraction(2, 3), Fraction(3, 4),
                   Fraction(5, 6), Fraction(12, 13)):
             assert memo.periodic(s, x) == periodic_zeta(s, x)
+        assert memo.periodic(s, 0) == periodic_zeta(s, 0)
         assert all(x <= Fraction(1, 2) for _, x in memo.periodics)
 
 
@@ -162,16 +186,17 @@ class TestTableMemo:
             assert set(calls.values()) == {1}
             for s in (2, 3):
                 # 12 reduced fractions in (0, 1] with denominator <= 6, and
-                # 7 folded arguments 0, 1/2, 1/3, 1/4, 1/5, 2/5, 1/6
+                # 6 folded arguments 1/2, 1/3, 1/4, 1/5, 2/5, 1/6; l(s, 0)
+                # is the memo's zeta(s, 1)
                 zetas = [a for name, t, a in calls if name == "zeta" and t == s]
                 folded = [x for name, t, x in calls if name == "l" and t == s]
-                assert len(zetas) == 12 and len(folded) == 7
-                assert all(0 <= x <= Fraction(1, 2) for x in folded)
+                assert len(zetas) == 12 and len(folded) == 6
+                assert all(0 < x <= Fraction(1, 2) for x in folded)
         # nor outlives it: a row on its own computes its values afresh
         calls.clear()
         check_zeta_row(6, 2)
-        # zeta(2, a) at a = 1/6, ..., 1 and l(2, x) at x = 0, 1/6, 1/3, 1/2
-        assert sum(calls.values()) == 6 + 4
+        # zeta(2, a) at a = 1/6, ..., 1 and l(2, x) at x = 1/6, 1/3, 1/2
+        assert sum(calls.values()) == 6 + 3
 
     def test_rows_match_fresh_rows(self):
         table = verify_transform_table(**self.SIZES)

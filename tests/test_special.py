@@ -8,11 +8,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pcores.precision import DEFAULT_PRECISION, PrecisionConfig
-from pcores.special import (cot_derivative, cot_polynomial, hurwitz_zeta,
-                            hurwitz_zeta_neg, periodic_zeta)
+from oracles import hurwitz_head
+from pcores.precision import DEFAULT_PRECISION, PrecisionConfig, to_mpf
+from pcores.special import (_hurwitz_head, _log_series, cot_derivative,
+                            cot_polynomial, hurwitz_zeta, hurwitz_zeta_neg,
+                            periodic_zeta)
 
 HIGH = PrecisionConfig.for_digits(80)
+
+# l(s, x) for s = 2..8 at every x in (0, 1/2] with denominator <= 13, as
+# mpmath's polylog at 150 digits; filled on first use
+_POLYLOG = mpmath.mp.clone()
+_POLYLOG.dps = 150
+_POLYLOG_VALUES: dict = {}
+
+
+def _polylog_reference(s, x):
+    if (s, x) not in _POLYLOG_VALUES:
+        z = _POLYLOG.expjpi(2 * _POLYLOG.mpf(x.numerator) / x.denominator)
+        _POLYLOG_VALUES[s, x] = _POLYLOG.polylog(s, z)
+    return _POLYLOG_VALUES[s, x]
 
 
 class TestCotPolynomial:
@@ -131,6 +146,16 @@ class TestHurwitzZeta:
                 expected = ctx.mpf(k) ** s * hurwitz_zeta(s, Fraction(1, 2))
                 assert abs(total - expected) < 1e-55
 
+    @pytest.mark.parametrize("digits", [20, 60, 100])
+    def test_head_matches_mpf_expression(self, digits):
+        # the raw-tuple head rounds where fsum((n + a) ** -s) does
+        ctx = PrecisionConfig(digits).context()
+        for s in (2, 3, 5, 8, 13, 30, Fraction(7, 2)):
+            sm = to_mpf(ctx, Fraction(s))
+            for a in {Fraction(h, q) for q in range(1, 8) for h in range(1, q + 1)}:
+                assert (_hurwitz_head(ctx, sm, a, digits)._mpf_
+                        == hurwitz_head(ctx, s, a, digits)._mpf_)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             hurwitz_zeta(1, Fraction(1, 2))
@@ -207,6 +232,49 @@ class TestPeriodicZeta:
                     expected = ctx.mpf(k) ** s * periodic_zeta(s, Fraction(h, k))
                     assert abs(total - expected) < 1e-55
 
+    @pytest.mark.parametrize("digits", [20, 40, 60, 100])
+    def test_against_polylog(self, digits):
+        # the log series, cut at eps/8 and summed with guard digits, stays
+        # within 10^-working_dps of mpmath's polylog, relative
+        config = PrecisionConfig(digits)
+        tol = _POLYLOG.mpf(10) ** -config.working_dps
+        for s in range(2, 9):
+            for x in {Fraction(h, q) for q in range(2, 14)
+                      for h in range(1, q // 2 + 1)}:
+                reference = _polylog_reference(s, x)
+                value = periodic_zeta(s, x, config)
+                assert abs(_POLYLOG.mpc(value) - reference) <= tol * abs(reference)
+
+    @pytest.mark.parametrize("digits", [20, 60, 100])
+    def test_series_cut_where_documented(self, digits):
+        # the last coefficient kept has |c_m| * pi^m >= eps/8 and the next
+        # nonzero one, c_(m+2), falls below it
+        ctx = PrecisionConfig(digits).context()
+        cut = _POLYLOG.mpf(ctx.eps) / 8
+        for s in range(2, 9):
+            even, odd, _ = _log_series(ctx, s)
+            m = max(2 * len(even) - 2, 2 * len(odd) - 1)
+            assert m > s
+            for n, kept in ((m, True), (m + 2, False)):
+                size = (abs(_POLYLOG.zeta(s - n)) * _POLYLOG.pi ** n
+                        / math.factorial(n))
+                assert (size >= cut) is kept
+
+    def test_coefficients_keyed_on_precision(self):
+        # a 100-digit value after a 40-digit one must not reuse 40-digit
+        # coefficients
+        _log_series.cache_clear()
+        x = Fraction(2, 7)
+        periodic_zeta(5, x, PrecisionConfig(40))
+        value = periodic_zeta(5, x, PrecisionConfig(100))
+        reference = _polylog_reference(5, x)
+        assert abs(_POLYLOG.mpc(value) - reference) < 1e-109 * abs(reference)
+
     def test_rejects_small_exponent(self):
         with pytest.raises(ValueError):
             periodic_zeta(1, Fraction(1, 3))
+
+    @pytest.mark.parametrize("s", [Fraction(5, 2), 2.5, 3.25])
+    def test_rejects_non_integer_exponent(self, s):
+        with pytest.raises(ValueError):
+            periodic_zeta(s, Fraction(1, 3))
