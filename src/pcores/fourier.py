@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import contextvars
 import functools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from mpmath.libmp import mpc_mul, mpc_mul_mpf, mpf_sum, round_nearest
+from mpmath.libmp import (fnone, fone, from_man_exp, fzero, mpc_mul,
+                          mpc_mul_mpf, mpf_sum, round_nearest, to_float)
 
 from .arith import bernoulli_number, bernoulli_poly, is_prime, legendre_symbol
 from .precision import DEFAULT_PRECISION, PrecisionConfig, to_mpf
@@ -50,28 +52,71 @@ def _roots(ctx, k: int) -> tuple:
                  for m in range(k))
 
 
+@functools.lru_cache(maxsize=None)
+def _root_ints(ctx, k: int) -> tuple:
+    # the _roots table as exact integers times 2^exp, exp the least exponent
+    # in the table: (exp, real parts, imaginary parts)
+    parts = [part for root in _roots(ctx, k) for part in root]
+    exp = min(e for _, man, e, _ in parts if man)
+    ints = [(-man if sign else man) << (e - exp) if man else 0
+            for sign, man, e, _ in parts]
+    return exp, ints[0::2], ints[1::2]
+
+
 def dft(g: GridFunction, config: PrecisionConfig = DEFAULT_PRECISION) -> GridFunction:
     """Direct O(k^2) transform; k stays small and precision is the point.
 
     The k roots of unity are computed once per (precision, k) and cached.
     Each output is what ctx.fsum(samples[j] * roots[j*mu % k]) returns,
     computed on mpmath's raw tuples: each product rounded once (mpc_mul
-    for complex samples, mpc_mul_mpf for real ones), the real and
-    imaginary parts summed exactly and rounded once.  Nothing is cut; every
-    rounding is at the working precision, GUARD_DIGITS beyond the target.
+    for complex samples, mpc_mul_mpf for real ones) and formed once per
+    distinct (j, j*mu % k), the real and imaginary parts summed exactly
+    and rounded once.  Nothing is cut; every rounding is at the working
+    precision, GUARD_DIGITS beyond the target.
+
+    Real samples of 0 and +-1 multiply nothing: a product with 0 adds
+    nothing to the sum, and one with +-1 is the root itself, exactly.  The
+    +-1 samples' roots, cached once more as integers on the table's least
+    exponent, add up to one exact term per part, which mpf_sum takes
+    beside the rounded products.  mpf_sum drops a term only where it lies
+    more than twice the precision below the last bit of the sum so far,
+    which no grid here comes near, so the outputs are those of the fsum
+    above.
     """
     ctx = config.context()
     prec, k = ctx.prec, g.k
     roots = _roots(ctx, k)
-    samples = [(v._mpc_, True) if hasattr(v, "_mpc_") else (v._mpf_, False)
-               for v in map(ctx.convert, g.samples)]
+    general, plus, minus = [], [], []
+    for j, v in enumerate(map(ctx.convert, g.samples)):
+        if hasattr(v, "_mpc_"):
+            general.append((j, v._mpc_, True))
+        elif v._mpf_ == fone:
+            plus.append(j)
+        elif v._mpf_ == fnone:
+            minus.append(j)
+        elif v._mpf_ != fzero:
+            general.append((j, v._mpf_, False))
+    if plus or minus:
+        exp, real_ints, imag_ints = _root_ints(ctx, k)
+    # j*mu % k runs over the multiples of gcd(j, k): one product for each
+    products = []
+    for j, v, is_complex in general:
+        step = math.gcd(j, k)
+        products.append((j, step, [
+            mpc_mul(v, roots[m], prec, round_nearest) if is_complex
+            else mpc_mul_mpf(roots[m], v, prec, round_nearest)
+            for m in range(0, k, step)]))
     out = []
     for mu in range(k):
         real, imag = [], []
-        for j, (v, is_complex) in enumerate(samples):
-            root = roots[j * mu % k]
-            re, im = (mpc_mul(v, root, prec, round_nearest) if is_complex
-                      else mpc_mul_mpf(root, v, prec, round_nearest))
+        if plus or minus:
+            up = [j * mu % k for j in plus]
+            down = [j * mu % k for j in minus]
+            for ints, part in ((real_ints, real), (imag_ints, imag)):
+                part.append(from_man_exp(sum(ints[m] for m in up)
+                                         - sum(ints[m] for m in down), exp))
+        for j, step, row in products:
+            re, im = row[j * mu % k // step]
             real.append(re)
             imag.append(im)
         out.append(ctx.make_mpc((mpf_sum(real, prec, round_nearest),
@@ -101,12 +146,29 @@ class DftReport:
     passed: bool
 
 
+def _max_abs(values) -> float:
+    """max(float(abs(v))) over mpc values v, with a working-precision abs
+    only where the maximum can be.
+
+    hypot of the parts cut to doubles is within a few units in the last
+    place of float(abs(v)), so no entry whose estimate falls below the
+    largest by a relative 1e-9 can hold the maximum; the 1e-300 keeps that
+    true where doubles lose relative precision.
+    """
+    values = list(values)
+    estimates = [math.hypot(to_float(re), to_float(im))
+                 for re, im in (v._mpc_ for v in values)]
+    cut = max(estimates) * (1 - 1e-9) - 1e-300
+    return max(float(abs(v)) for v, estimate in zip(values, estimates)
+               if not estimate < cut)
+
+
 def _row(name: str, k: int, parameters: dict, samples, expected,
          config: PrecisionConfig) -> DftReport:
     """Transform the grid of samples and compare it, index by index, with
     the closed-form values."""
     transform = dft(grid_function(k, samples), config).samples
-    worst = max(float(abs(t - e)) for t, e in zip(transform, expected))
+    worst = _max_abs(t - e for t, e in zip(transform, expected))
     tol = 10.0 ** -(config.decimal_digits - 15)
     return DftReport(name=name, k=k, parameters=parameters,
                      max_deviation=worst, tolerance=tol, passed=worst <= tol)
@@ -140,12 +202,10 @@ def check_legendre_row(p: int,
     """Transform of the Legendre symbol against its Gauss-sum closed form
     (-i)^(((p-1)/2)^2) * sqrt(p) * (mu|p)."""
     ctx = config.context()
-    front = ctx.mpc((1, -1j, -1, 1j)[((p - 1) // 2) ** 2 % 4])
-    root = ctx.sqrt(p)
-    return _row("legendre", p, {},
-                (ctx.mpf(legendre_symbol(j, p)) for j in range(p)),
-                (front * root * legendre_symbol(mu, p) for mu in range(p)),
-                config)
+    gauss = ctx.mpc((1, -1j, -1, 1j)[((p - 1) // 2) ** 2 % 4]) * ctx.sqrt(p)
+    symbols = [legendre_symbol(j, p) for j in range(p)]
+    return _row("legendre", p, {}, symbols,
+                [gauss * symbol for symbol in symbols], config)
 
 
 class _ZetaMemo:
@@ -285,9 +345,9 @@ def verify_transform_table(kmax: int = 13, rmax: int = 6, smax: int = 6,
         report.parseval_max = max(report.parseval_max, float(abs(lhs - rhs)))
     for i, f in enumerate(pool[:10]):
         double = dft(hats[i] if i in hats else dft(f, config), config)
-        for j in range(f.k):
-            dev = float(abs(double.samples[j] - f.k * ctx.convert(f.samples[-j % f.k])))
-            report.involution_max = max(report.involution_max, dev)
+        dev = _max_abs(double.samples[j] - f.k * ctx.convert(f.samples[-j % f.k])
+                       for j in range(f.k))
+        report.involution_max = max(report.involution_max, dev)
     report.passed = (not report.failed_rows
                      and report.parseval_max <= report.grid_tolerance
                      and report.involution_max <= report.grid_tolerance)

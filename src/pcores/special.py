@@ -13,7 +13,9 @@ import functools
 import math
 from fractions import Fraction
 
-from mpmath.libmp import (from_int, mpf_div, mpf_neg, mpf_pow, mpf_sum,
+from mpmath.libmp import (finf, fone, from_int, fzero, mpf_abs, mpf_add,
+                          mpf_div, mpf_gt, mpf_lt, mpf_mul, mpf_neg, mpf_pow,
+                          mpf_pow_int, mpf_rdiv_int, mpf_sub, mpf_sum,
                           round_nearest)
 
 from .arith import bernoulli_number, bernoulli_poly
@@ -43,6 +45,12 @@ def cot_polynomial(r: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+@functools.lru_cache(maxsize=None)
+def _cot_pi(ctx, q: Fraction):
+    """cot(pi*q) at the precision of ctx, computed once per (ctx, q)."""
+    return ctx.cot(ctx.pi * to_mpf(ctx, q))
+
+
 def cot_derivative(r: int, q, config: PrecisionConfig = DEFAULT_PRECISION):
     """r-th derivative of cot at x = pi*q, for exact rational q in (0,1).
 
@@ -55,8 +63,7 @@ def cot_derivative(r: int, q, config: PrecisionConfig = DEFAULT_PRECISION):
         raise ValueError("cot_derivative requires 0 < q < 1")
     if r < 0:
         raise ValueError("cot_derivative requires r >= 0")
-    ctx = config.context()
-    c = ctx.cot(ctx.pi * to_mpf(ctx, q))
+    c = _cot_pi(config.context(), q)
     if r == 0:
         return c
     val = 0
@@ -80,8 +87,8 @@ def _hurwitz_head(ctx, sm, a: Fraction, terms: int):
 
 @functools.lru_cache(maxsize=None)
 def _euler_maclaurin_coefficient(ctx, j: int):
-    """B_{2j}/(2j)!, rounded once at the precision of ctx."""
-    return to_mpf(ctx, bernoulli_number(2 * j) / math.factorial(2 * j))
+    """B_{2j}/(2j)! as a raw mpf, rounded once at the precision of ctx."""
+    return to_mpf(ctx, bernoulli_number(2 * j) / math.factorial(2 * j))._mpf_
 
 
 def hurwitz_zeta(s, a, config: PrecisionConfig = DEFAULT_PRECISION):
@@ -96,10 +103,12 @@ def hurwitz_zeta(s, a, config: PrecisionConfig = DEFAULT_PRECISION):
     the cut, so the stopping rule is an honest error bound.
 
     Everything runs at the working precision, GUARD_DIGITS beyond
-    decimal_digits.  The head is summed on mpmath's raw tuples
-    (_hurwitz_head), with the roundings the mpf expression
-    fsum((n + a) ** -s) makes.  The tail's B_{2j}/(2j)! are rounded once
-    per (precision, j) and cached.
+    decimal_digits, on mpmath's raw tuples.  The head (_hurwitz_head) has
+    the roundings the mpf expression fsum((n + a) ** -s) makes.  The tail
+    makes one libmp call (mpf_add, mpf_mul, mpf_pow and so on), rounded to
+    nearest, wherever the mpf operator form of the formula above rounds,
+    in the same order; (s + 2j - 1) is (s + 2j) - 1, two roundings.  The tail's B_{2j}/(2j)! are rounded once per
+    (precision, j) and cached.
     """
     s_exact = Fraction(s) if isinstance(s, int) else s
     sf = float(s)
@@ -109,35 +118,44 @@ def hurwitz_zeta(s, a, config: PrecisionConfig = DEFAULT_PRECISION):
     if not 0 < a <= 1:
         raise ValueError("hurwitz_zeta requires 0 < a <= 1")
     ctx = config.context()
+    prec, rnd = ctx.prec, round_nearest
     sm = to_mpf(ctx, s_exact) if isinstance(s_exact, Fraction) else ctx.mpf(s_exact)
     M = max(2 * math.ceil(sf), config.decimal_digits)
-    total = _hurwitz_head(ctx, sm, a, M)
-    x = to_mpf(ctx, M + a)
-    total += x ** (1 - sm) / (sm - 1)
-    total += x ** (-sm) / 2
-    eps = ctx.mpf(10) ** -(config.decimal_digits + 5)
+    total = _hurwitz_head(ctx, sm, a, M)._mpf_
+    sm, x = sm._mpf_, to_mpf(ctx, M + a)._mpf_
+    # x^(1-s)/(s-1) + x^(-s)/2
+    total = mpf_add(total, mpf_div(
+        mpf_pow(x, mpf_sub(fone, sm, prec, rnd), prec, rnd),
+        mpf_sub(sm, fone, prec, rnd), prec, rnd), prec, rnd)
+    neg_s = mpf_neg(sm, prec, rnd)
+    total = mpf_add(total, mpf_div(mpf_pow(x, neg_s, prec, rnd), from_int(2),
+                                   prec, rnd), prec, rnd)
+    eps = mpf_pow_int(from_int(10), -(config.decimal_digits + 5), prec, rnd)
     rising = sm  # s(s+1)...(s+2j-2), starting at j = 1
-    xpow = x ** (-sm - 1)
-    inv_x2 = 1 / (x * x)
-    previous = ctx.inf
+    xpow = mpf_pow(x, mpf_sub(neg_s, fone, prec, rnd), prec, rnd)
+    inv_x2 = mpf_rdiv_int(1, mpf_mul(x, x, prec, rnd), prec, rnd)
+    previous = finf
     j = 1
     while True:
-        term = _euler_maclaurin_coefficient(ctx, j) * rising * xpow
-        total += term
-        size = abs(term)
-        if size < eps:
+        term = mpf_mul(mpf_mul(_euler_maclaurin_coefficient(ctx, j), rising,
+                               prec, rnd), xpow, prec, rnd)
+        total = mpf_add(total, term, prec, rnd)
+        size = mpf_abs(term)
+        if mpf_lt(size, eps):
             break
-        if size > previous:
+        if mpf_gt(size, previous):
             # asymptotic tail started diverging before reaching the target
             raise PrecisionError(
                 f"Euler-Maclaurin tail for zeta({s}, {a}) stalled at "
-                f"term size {ctx.nstr(size, 5)}"
+                f"term size {ctx.nstr(ctx.make_mpf(size), 5)}"
             )
         previous = size
-        rising *= (sm + 2 * j - 1) * (sm + 2 * j)
-        xpow *= inv_x2
+        shifted = mpf_add(sm, from_int(2 * j), prec, rnd)  # s + 2j
+        rising = mpf_mul(rising, mpf_mul(mpf_sub(shifted, fone, prec, rnd),
+                                         shifted, prec, rnd), prec, rnd)
+        xpow = mpf_mul(xpow, inv_x2, prec, rnd)
         j += 1
-    return +total
+    return ctx.make_mpf(total)
 
 
 def hurwitz_zeta_neg(m: int, a) -> Fraction:
@@ -173,30 +191,40 @@ def _log_series(ctx, s: int) -> tuple:
     first nonzero c_m with m >= s and |c_m| * pi^m < eps/8.  From m = s on
     |c_m| * pi^m falls by a factor of more than 4 from one nonzero term to
     the next, so what is dropped stays below eps/6 of ctx.
+
+    Past m = s the coefficients of the parity of s are zeta(-2n)/m! = 0,
+    so they are neither computed nor stored.  The rest runs on mpmath's
+    raw tuples, with the roundings of the mpf expressions
+    zeta(s - m) / m!, abs(c) * pi^m and pi^m * pi at the precision of
+    GUARD_DIGITS beyond ctx.
     """
     high = _context(ctx.dps + GUARD_DIGITS)
-    cut = ctx.eps / 8
+    prec, pi, cut = high.prec, high.pi._mpf_, (ctx.eps / 8)._mpf_
     parts = ([], [])
-    m, pi_m = 0, high.one
+    m, pi_m = 0, fone
     while True:
-        c = high.zeta(s - m) / math.factorial(m) if m != s - 1 else high.zero
-        if m >= s and c and abs(c) * pi_m < cut:
-            break
-        parts[m % 2].append(-c if m % 4 >= 2 else c)
-        m, pi_m = m + 1, pi_m * high.pi
-    for part in parts:  # the other parity's tail is all zeta(-2n) = 0
-        while not part[-1]:
-            part.pop()
+        if m <= s or (m - s) % 2:
+            c = fzero if m == s - 1 else mpf_div(
+                high.zeta(s - m)._mpf_, from_int(math.factorial(m)), prec,
+                round_nearest)
+            if m >= s and mpf_lt(mpf_mul(mpf_abs(c), pi_m, prec, round_nearest),
+                                 cut):
+                break
+            parts[m % 2].append(high.make_mpf(mpf_neg(c) if m % 4 >= 2 else c))
+        m, pi_m = m + 1, mpf_mul(pi_m, pi, prec, round_nearest)
     harmonic = to_mpf(high, sum(Fraction(1, j) for j in range(1, s)))
     return tuple(parts[0]), tuple(parts[1]), harmonic
 
 
-def _horner(coeffs, u):
-    """coeffs[0] + coeffs[1]*u + coeffs[2]*u^2 + ... by Horner's rule."""
-    acc = 0
+def _horner(ctx, coeffs, u):
+    """coeffs[0] + coeffs[1]*u + coeffs[2]*u^2 + ... by Horner's rule, for
+    mpf coefficients and u, on mpmath's raw tuples: each product and each
+    sum rounded once at the precision of ctx, as acc * u + c rounds."""
+    prec, u, acc = ctx.prec, u._mpf_, fzero
     for c in reversed(coeffs):
-        acc = acc * u + c
-    return acc
+        acc = mpf_add(mpf_mul(acc, u, prec, round_nearest), c._mpf_, prec,
+                      round_nearest)
+    return ctx.make_mpf(acc)
 
 
 def periodic_zeta(s: int, x, config: PrecisionConfig = DEFAULT_PRECISION):
@@ -206,8 +234,8 @@ def periodic_zeta(s: int, x, config: PrecisionConfig = DEFAULT_PRECISION):
     l(s, 1-x) = conj(l(s, x)).  l(s, 0) = zeta(s, 1); every other folded x
     sums the log series of _log_series, whose coefficients are built once
     per (precision, s) and cut where |c_m| * pi^m < eps/8.  E and O are
-    evaluated by Horner's rule GUARD_DIGITS beyond the working precision,
-    and the result is rounded once.  Always complex.
+    evaluated by Horner's rule on raw tuples (_horner) GUARD_DIGITS beyond
+    the working precision, and the result is rounded once.  Always complex.
     """
     if s != int(s) or s < 2:
         raise ValueError("periodic_zeta requires integer s >= 2")
@@ -225,5 +253,5 @@ def periodic_zeta(s: int, x, config: PrecisionConfig = DEFAULT_PRECISION):
     re, im = scale * (harmonic - high.ln(t)), scale * high.pi / 2
     for _ in range((s - 1) % 4):
         re, im = -im, re
-    val = ctx.mpc(_horner(even, u) + re, t * _horner(odd, u) + im)
+    val = ctx.mpc(_horner(high, even, u) + re, t * _horner(high, odd, u) + im)
     return ctx.conj(val) if conjugate else val

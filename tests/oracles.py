@@ -10,6 +10,7 @@ library must match them bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -122,3 +123,94 @@ def dft_by_fsum(ctx, samples) -> list:
     values = [ctx.convert(v) for v in samples]
     return [ctx.fsum(values[j] * roots[j * mu % k] for j in range(k))
             for mu in range(k)]
+
+
+def euler_maclaurin_tail(ctx, total, s, a, digits: int):
+    """total plus the Euler-Maclaurin tail of zeta(s, a) past the
+    M = max(2*ceil(s), digits) head terms, as mpf expressions,
+        x^(1-s)/(s-1) + x^(-s)/2
+          + sum_j B_{2j}/(2j)! * s(s+1)...(s+2j-2) * x^(-s-2j+1)
+    at x = M + a, each term added to total in turn, up to the first
+    correction below 10^-(digits+5); each B_{2j}/(2j)! is one correctly
+    rounded quotient of mpmath's bernfrac."""
+    s, a = Fraction(s), Fraction(a)
+    sm = ctx.fdiv(s.numerator, s.denominator)
+    M = max(2 * math.ceil(s), digits)
+    x = ctx.fdiv(M * a.denominator + a.numerator, a.denominator)
+    total += x ** (1 - sm) / (sm - 1)
+    total += x ** (-sm) / 2
+    eps = ctx.mpf(10) ** -(digits + 5)
+    rising = sm
+    xpow = x ** (-sm - 1)
+    inv_x2 = 1 / (x * x)
+    j = 1
+    while True:
+        p, q = ctx.bernfrac(2 * j)
+        term = ctx.fdiv(p, q * math.factorial(2 * j)) * rising * xpow
+        total += term
+        if abs(term) < eps:
+            return +total
+        rising *= (sm + 2 * j - 1) * (sm + 2 * j)
+        xpow *= inv_x2
+        j += 1
+
+
+def hurwitz_zeta_by_mpf(ctx, s, a, digits: int):
+    """zeta(s, a) as hurwitz_head over max(2*ceil(s), digits) terms, then
+    euler_maclaurin_tail."""
+    terms = max(2 * math.ceil(Fraction(s)), digits)
+    return euler_maclaurin_tail(ctx, hurwitz_head(ctx, s, a, terms), s, a,
+                                digits)
+
+
+def log_series_by_mpf(ctx, high, s: int) -> tuple:
+    """The coefficients (E, O) of the log series of l(s, x) as mpf
+    expressions at the precision of high: c_m = zeta(s - m)/m! with the
+    sign (-1)^(m//2), E from even m and O from odd m, zero at m = s - 1, up
+    to the first nonzero c_m with m >= s and |c_m| * pi^m < eps/8 of ctx,
+    trailing zeros dropped."""
+    cut = ctx.eps / 8
+    parts = ([], [])
+    m, pi_m = 0, high.one
+    while True:
+        c = high.zeta(s - m) / math.factorial(m) if m != s - 1 else high.zero
+        if m >= s and c and abs(c) * pi_m < cut:
+            break
+        parts[m % 2].append(-c if m % 4 >= 2 else c)
+        m, pi_m = m + 1, pi_m * high.pi
+    for part in parts:
+        while not part[-1]:
+            part.pop()
+    return tuple(parts[0]), tuple(parts[1])
+
+
+def horner(coeffs, u):
+    """coeffs[0] + coeffs[1]*u + coeffs[2]*u^2 + ... as acc * u + c on
+    mpf values."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * u + c
+    return acc
+
+
+def periodic_zeta_by_mpf(ctx, high, series, s: int, x):
+    """l(s, x) for x in (0, 1/2] from the log series (E, O, H_{s-1}) as mpf
+    expressions at the precision of high,
+        E(t^2) + i*t*O(t^2) + (i*t)^(s-1)/(s-1)! * (H_{s-1} - log t + i*pi/2)
+    at t = 2*pi*x, E and O by horner, rounded once to ctx.  The series is
+    passed in, so this checks its evaluation; log_series_by_mpf checks the
+    coefficients."""
+    even, odd, harmonic = series
+    x = Fraction(x)
+    t = 2 * high.pi * high.fdiv(x.numerator, x.denominator)
+    u = t * t
+    scale = t ** (s - 1) / math.factorial(s - 1)
+    re, im = scale * (harmonic - high.ln(t)), scale * high.pi / 2
+    for _ in range((s - 1) % 4):  # times i^(s-1)
+        re, im = -im, re
+    return ctx.mpc(horner(even, u) + re, t * horner(odd, u) + im)
+
+
+def max_deviation(transform, expected) -> float:
+    """max(float(abs(t - e))) over paired mpmath values."""
+    return max(float(abs(t - e)) for t, e in zip(transform, expected))

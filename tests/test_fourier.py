@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 import pcores.fourier
-from oracles import dft_by_fsum
-from pcores.arith import bernoulli_poly
-from pcores.fourier import (_ZetaMemo, check_bernoulli_row,
+from oracles import dft_by_fsum, max_deviation
+from pcores.arith import bernoulli_poly, is_prime, legendre_symbol
+from pcores.fourier import (_max_abs, _row, _ZetaMemo, check_bernoulli_row,
                             check_legendre_row, check_zeta_row, dft,
                             grid_function, inner_product,
                             verify_transform_table)
@@ -52,28 +52,84 @@ class TestDft:
     @pytest.mark.parametrize("digits", [20, 60, 100])
     def test_matches_fsum_expression(self, digits):
         # the raw-tuple transform rounds where fsum(sample * root) does, on
-        # real and complex grids and on a transform of a transform
+        # real and complex grids and on a transform of a transform, at
+        # prime and composite k (where gcd(j, k) > 1 products are reused);
+        # the samples 0 and +-1 take the exact integer path, alone or
+        # mixed with general reals
         config = PrecisionConfig(digits)
         ctx = config.context()
         rng = random.Random(digits)
-        for k in (2, 5, 13, 32):
+        for k in (2, 5, 12, 13, 32):
             real = [ctx.mpf(rng.uniform(-1, 1)) for _ in range(k)]
             exact = [bernoulli_poly(3, Fraction(j, k)) for j in range(k)]
             plain = [rng.randint(-5, 5) for _ in range(k)]
             complex_ = [ctx.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
                         for _ in range(k)]
-            for samples in (real, exact, plain, complex_):
+            units = [rng.choice((-1, 1)) for _ in range(k)]
+            mixed = [rng.choice((-1, 0, 1)) if j % 2 else real[j]
+                     for j in range(k)]
+            for samples in (real, exact, plain, complex_, units, mixed):
                 hat = dft(grid_function(k, samples), config).samples
                 expected = dft_by_fsum(ctx, samples)
                 assert [v._mpc_ for v in hat] == [v._mpc_ for v in expected]
                 double = dft(grid_function(k, hat), config).samples
                 assert ([v._mpc_ for v in double]
                         == [v._mpc_ for v in dft_by_fsum(ctx, expected)])
+        for p in filter(is_prime, range(3, 98)):
+            symbols = [legendre_symbol(j, p) for j in range(p)]
+            hat = dft(grid_function(p, symbols), config).samples
+            assert ([v._mpc_ for v in hat]
+                    == [v._mpc_ for v in dft_by_fsum(ctx, symbols)])
 
     def test_roots_are_keyed_on_precision(self):
         # a 100-digit row after a 40-digit one must not reuse 40-digit roots
         assert check_legendre_row(13, PrecisionConfig(40)).passed
         assert check_legendre_row(13, PrecisionConfig(100)).max_deviation < 1e-85
+
+
+class TestMaxAbs:
+    """_max_abs over differences is max(float(abs(t - e)))."""
+
+    @staticmethod
+    def both(transform, expected):
+        return (_max_abs(t - e for t, e in zip(transform, expected)),
+                max_deviation(transform, expected))
+
+    def test_all_zero_deviations(self):
+        ctx = DEFAULT_PRECISION.context()
+        values = [ctx.mpc(j, -j) for j in range(6)]
+        assert self.both(values, values) == (0.0, 0.0)
+
+    def test_tie_at_the_maximum(self):
+        ctx = DEFAULT_PRECISION.context()
+        zeros = [0] * 5
+        values = [ctx.mpc(3, 4), ctx.mpc(-4, 3), ctx.mpc(0, -5), ctx.mpc(1, 1),
+                  ctx.mpc(5, 0)]
+        assert self.both(values, zeros) == (5.0, 5.0)
+        # moduli that differ only far below a double's last place
+        rng = random.Random(5)
+        values = [ctx.expjpi(ctx.mpf(rng.uniform(-1, 1)))
+                  * (1 + ctx.mpf(rng.random()) * 2 ** -60) for _ in range(200)]
+        got, expected = self.both(values, [0] * 200)
+        assert got == expected
+        # a modulus just past half a double's last place rounds up, which
+        # the double estimate, from parts rounded down, does not see
+        values[0] = ctx.mpc(1 + ctx.mpf(2) ** -53 + ctx.mpf(2) ** -80)
+        assert self.both(values, [0] * 200) == (1 + 2 ** -52,) * 2
+
+    def test_failing_row(self):
+        # a closed form off by 1/2 at one index fails the row, and the
+        # report carries the deviation the old expression measured
+        config = DEFAULT_PRECISION
+        ctx = config.context()
+        symbols = [legendre_symbol(j, 7) for j in range(7)]
+        closed = [ctx.mpc(0, -1) * ctx.sqrt(7) * c for c in symbols]
+        closed[3] += ctx.mpf(1) / 2
+        report = _row("legendre", 7, {}, symbols, closed, config)
+        transform = dft(grid_function(7, symbols), config).samples
+        assert not report.passed
+        assert report.max_deviation == max_deviation(transform, closed)
+        assert abs(report.max_deviation - 0.5) < 1e-40
 
 
 class TestInnerProduct:

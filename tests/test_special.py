@@ -8,8 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import hurwitz_head
-from pcores.precision import DEFAULT_PRECISION, PrecisionConfig, to_mpf
+import pcores.special
+from oracles import (euler_maclaurin_tail, hurwitz_head, hurwitz_zeta_by_mpf,
+                     log_series_by_mpf, periodic_zeta_by_mpf)
+from pcores.precision import (DEFAULT_PRECISION, GUARD_DIGITS,
+                              PrecisionConfig, PrecisionError, _context,
+                              to_mpf)
 from pcores.special import (_hurwitz_head, _log_series, cot_derivative,
                             cot_polynomial, hurwitz_zeta, hurwitz_zeta_neg,
                             periodic_zeta)
@@ -156,6 +160,37 @@ class TestHurwitzZeta:
                 assert (_hurwitz_head(ctx, sm, a, digits)._mpf_
                         == hurwitz_head(ctx, s, a, digits)._mpf_)
 
+    @pytest.mark.parametrize("digits", [20, 60, 100])
+    def test_matches_mpf_expression(self, digits, monkeypatch):
+        # the raw-tuple tail rounds where the mpf operators of the formula
+        # do: after the head, and from a zero head, where a rounding the
+        # head would swamp shows in the last bit
+        config = PrecisionConfig(digits)
+        ctx = config.context()
+        cases = [(s, a) for s in (2, 3, 6, Fraction(7, 2))
+                 for a in {Fraction(h, q) for q in range(1, 7)
+                           for h in range(1, q + 1)}]
+        for s, a in cases:
+            assert (hurwitz_zeta(s, a, config)._mpf_
+                    == hurwitz_zeta_by_mpf(ctx, s, a, digits)._mpf_)
+        monkeypatch.setattr(pcores.special, "_hurwitz_head",
+                            lambda ctx, sm, a, terms: ctx.zero)
+        for s, a in cases:
+            assert (hurwitz_zeta(s, a, config)._mpf_
+                    == euler_maclaurin_tail(ctx, ctx.zero, s, a, digits)._mpf_)
+
+    def test_stalled_tail_raises_precision_error(self, monkeypatch):
+        # coefficients that grow make the corrections grow: the tail must
+        # stop with a PrecisionError, not return a value
+        def growing(ctx, j):
+            return to_mpf(ctx, 10 ** (40 * j))._mpf_
+
+        monkeypatch.setattr(pcores.special, "_euler_maclaurin_coefficient",
+                            growing)
+        with pytest.raises(PrecisionError,
+                           match=r"zeta\(2, 1/3\) stalled at term size"):
+            hurwitz_zeta(2, Fraction(1, 3))
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             hurwitz_zeta(1, Fraction(1, 2))
@@ -259,6 +294,23 @@ class TestPeriodicZeta:
                 size = (abs(_POLYLOG.zeta(s - n)) * _POLYLOG.pi ** n
                         / math.factorial(n))
                 assert (size >= cut) is kept
+
+    @pytest.mark.parametrize("digits", [20, 60, 100])
+    def test_matches_mpf_expression(self, digits):
+        # the raw-tuple log series and Horner sums round where the mpf
+        # expressions do
+        config = PrecisionConfig(digits)
+        ctx = config.context()
+        high = _context(ctx.dps + GUARD_DIGITS)
+        for s in range(2, 9):
+            series = _log_series(ctx, s)
+            assert ([[c._mpf_ for c in part] for part in series[:2]]
+                    == [[c._mpf_ for c in part]
+                        for part in log_series_by_mpf(ctx, high, s)])
+            for x in {Fraction(h, q) for q in range(2, 9)
+                      for h in range(1, q // 2 + 1)}:
+                expected = periodic_zeta_by_mpf(ctx, high, series, s, x)
+                assert periodic_zeta(s, x, config)._mpc_ == expected._mpc_
 
     def test_coefficients_keyed_on_precision(self):
         # a 100-digit value after a 40-digit one must not reuse 40-digit
