@@ -11,7 +11,6 @@ identity hold for arbitrary grids.
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
 import random
@@ -19,11 +18,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath.libmp import (fnone, fone, from_man_exp, fzero, mpc_mul,
-                          mpc_mul_mpf, mpf_sum, round_nearest, to_float)
+                          mpc_mul_mpf, mpf_pos, mpf_sum, round_nearest,
+                          to_float)
 
 from .arith import bernoulli_number, bernoulli_poly, is_prime, legendre_symbol
 from .precision import DEFAULT_PRECISION, PrecisionConfig, to_mpf
-from .special import _fold, cot_derivative, hurwitz_zeta, periodic_zeta
+from .special import cot_derivative, hurwitz_zeta, periodic_zeta
 
 
 @dataclass(frozen=True)
@@ -67,21 +67,25 @@ def dft(g: GridFunction, config: PrecisionConfig = DEFAULT_PRECISION) -> GridFun
     """Direct O(k^2) transform; k stays small and precision is the point.
 
     The k roots of unity are computed once per (precision, k) and cached.
-    Each output is what ctx.fsum(samples[j] * roots[j*mu % k]) returns,
-    computed on mpmath's raw tuples: each product rounded once (mpc_mul
-    for complex samples, mpc_mul_mpf for real ones) and formed once per
-    distinct (j, j*mu % k), the real and imaginary parts summed exactly
-    and rounded once.  Nothing is cut; every rounding is at the working
-    precision, GUARD_DIGITS beyond the target.
+    Each output is the exact sum of the products samples[j] *
+    roots[j*mu % k], rounded once, computed on mpmath's raw tuples: each
+    product rounded once (mpc_mul for complex samples, mpc_mul_mpf for
+    real ones) and formed once per distinct (j, j*mu % k), the real and
+    imaginary parts summed exactly (mpf_sum without a precision drops a
+    term only a million bits down) and then rounded once.  Every rounding
+    is at the working precision, GUARD_DIGITS beyond the target.
 
     Real samples of 0 and +-1 multiply nothing: a product with 0 adds
     nothing to the sum, and one with +-1 is the root itself, exactly.  The
     +-1 samples' roots, cached once more as integers on the table's least
-    exponent, add up to one exact term per part, which mpf_sum takes
-    beside the rounded products.  mpf_sum drops a term only where it lies
-    more than twice the precision below the last bit of the sum so far,
-    which no grid here comes near, so the outputs are those of the fsum
-    above.
+    exponent, add up to one exact term per part beside the rounded
+    products.
+
+    ctx.fsum of the products agrees wherever it drops no term.  It drops
+    one lying more than twice the precision below the last bit of its sum
+    so far, which no grid the table checks comes near; at 20 digits the
+    grid (1, 1e-200, -1) gives 1e-200 at mu = 0 here, where fsum drops the
+    1e-200 against the 1 and returns 0.
     """
     ctx = config.context()
     prec, k = ctx.prec, g.k
@@ -119,8 +123,8 @@ def dft(g: GridFunction, config: PrecisionConfig = DEFAULT_PRECISION) -> GridFun
             re, im = row[j * mu % k // step]
             real.append(re)
             imag.append(im)
-        out.append(ctx.make_mpc((mpf_sum(real, prec, round_nearest),
-                                 mpf_sum(imag, prec, round_nearest))))
+        out.append(ctx.make_mpc((mpf_pos(mpf_sum(real), prec, round_nearest),
+                                 mpf_pos(mpf_sum(imag), prec, round_nearest))))
     return GridFunction(k=k, samples=tuple(out))
 
 
@@ -208,61 +212,24 @@ def check_legendre_row(p: int,
                 [gauss * symbol for symbol in symbols], config)
 
 
-class _ZetaMemo:
-    """zeta(s, a) and l(s, x), each distinct value computed once.
-
-    zeta is keyed on (s, a) with a a reduced fraction.  l is stored only at
-    the folded argument in [0, 1/2] and conjugated on the way out, as
-    periodic_zeta itself does, so the values are bit-identical to fresh
-    calls.  l(s, 0) is the memo's own zeta(s, 1), as periodic_zeta would
-    compute it; every other l(s, x) is periodic_zeta's log series, cut
-    where |c_m| * pi^m < eps/8 and summed GUARD_DIGITS beyond the working
-    precision.
-    """
-
-    def __init__(self, config: PrecisionConfig) -> None:
-        self.config = config
-        self.zetas: dict = {}
-        self.periodics: dict = {}
-
-    def zeta(self, s: int, a: Fraction):
-        if (s, a) not in self.zetas:
-            self.zetas[s, a] = hurwitz_zeta(s, a, self.config)
-        return self.zetas[s, a]
-
-    def periodic(self, s: int, x: Fraction):
-        x, conjugate = _fold(x)
-        ctx = self.config.context()
-        if (s, x) not in self.periodics:
-            self.periodics[s, x] = (ctx.mpc(self.zeta(s, Fraction(1))) if x == 0
-                                    else periodic_zeta(s, x, self.config))
-        value = self.periodics[s, x]
-        return ctx.conj(value) if conjugate else value
-
-
-# The memo of the verify_transform_table call in progress, if any, so that
-# its rows share values while each row stays a check_zeta_row call.
-_TABLE_MEMO = contextvars.ContextVar("_TABLE_MEMO", default=None)
-
-
 def check_zeta_row(k: int, s: int,
                    config: PrecisionConfig = DEFAULT_PRECISION) -> DftReport:
     """Transform of zeta(s, j/k) samples against k^s * l(s, 1 - mu/k).
 
     The j = 0 slot samples a = 1 (the argument domain is (0,1]); on the
-    closed-form side 1 - 0 is likewise read as 1.  Each distinct zeta(s, a)
-    and l(s, x) is evaluated once; inside verify_transform_table the rows
-    share those values for the whole call.
+    closed-form side 1 - 0 is likewise read as 1.  hurwitz_zeta and
+    periodic_zeta cache their values, so each distinct zeta(s, a) and
+    l(s, x) is evaluated once per process, and rows share them.
     """
     if k < 2:
         raise ValueError("need k >= 2")
-    memo = _TABLE_MEMO.get() or _ZetaMemo(config)
     scale = config.context().mpf(k) ** s
     return _row(
         "zeta", k, {"s": s},
-        (memo.zeta(s, Fraction(j, k) if j else Fraction(1))
+        (hurwitz_zeta(s, Fraction(j, k) if j else 1, config)
          for j in range(k)),
-        (scale * memo.periodic(s, Fraction(k - mu, k)) for mu in range(k)),
+        (scale * periodic_zeta(s, Fraction(k - mu, k), config)
+         for mu in range(k)),
         config)
 
 
@@ -302,8 +269,8 @@ def verify_transform_table(kmax: int = 13, rmax: int = 6, smax: int = 6,
     grids drawn from the fixed seed _GRID_SEED and the double-transform
     reflection identity.
 
-    Each distinct zeta(s, a) and l(s, x) is evaluated once per call, and the
-    reflection check reuses the transforms Parseval already took.
+    Each distinct zeta(s, a) and l(s, x) is evaluated once per process, and
+    the reflection check reuses the transforms Parseval already took.
     grid_kmax must be >= 2: a one-point transform is the identity, so the
     grid checks would compare each value with itself.
     """
@@ -314,15 +281,11 @@ def verify_transform_table(kmax: int = 13, rmax: int = 6, smax: int = 6,
         if value < least:  # the family would check nothing
             raise ValueError(f"{name} must be >= {least}")
     report = TableReport(grid_tolerance=10.0 ** -(config.decimal_digits - 10))
-    token = _TABLE_MEMO.set(_ZetaMemo(config))
-    try:
-        for k in range(2, kmax + 1):
-            for r in range(1, rmax + 1):
-                report.rows.append(check_bernoulli_row(k, r, config))
-            for s in range(2, smax + 1):
-                report.rows.append(check_zeta_row(k, s, config))
-    finally:
-        _TABLE_MEMO.reset(token)
+    for k in range(2, kmax + 1):
+        for r in range(1, rmax + 1):
+            report.rows.append(check_bernoulli_row(k, r, config))
+        for s in range(2, smax + 1):
+            report.rows.append(check_zeta_row(k, s, config))
     for p in range(3, pmax + 1):
         if is_prime(p):
             report.rows.append(check_legendre_row(p, config))

@@ -87,11 +87,10 @@ def to_mpf(ctx, value):
 class SnappedInteger:
     """A high-precision value resolved to its nearest integer.
 
-    ``residual`` is |raw - nearest| (complex modulus when the raw value has
+    ``residual`` is |value - nearest| (complex modulus when the value has
     an imaginary component), so it certifies both integrality and realness.
     """
 
-    raw: object
     nearest: int
     residual: float
 
@@ -121,4 +120,4 @@ def snap_integer(value, config: PrecisionConfig = DEFAULT_PRECISION,
             f"{config.snap_tolerance:g} at {config.working_dps} working "
             "digits"
         )
-    return SnappedInteger(raw=raw, nearest=nearest, residual=residual)
+    return SnappedInteger(nearest=nearest, residual=residual)

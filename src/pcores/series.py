@@ -1,9 +1,9 @@
 """Exact p-core counting and the infinite products behind it.
 
-p-core counts through the generating-function product, a hook-length
-brute-force oracle for small n, and direct numeric evaluation of the three
-infinite products (the partition product F, the p-core quotient f, and the
-inverted quotient H) inside the unit disk with a certified truncation bound.
+p-core counts through the generating-function product, and direct numeric
+evaluation of the two infinite products of the modular transformation (the
+p-core quotient f and the inverted quotient H) inside the unit disk with a
+certified truncation bound.
 """
 
 from __future__ import annotations
@@ -62,45 +62,7 @@ def pcore_count(p: int, n: int) -> int:
     return pcore_series(p, n)[n]
 
 
-def partitions(n: int, _cap: int | None = None):
-    """Yield all partitions of n as descending tuples."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        yield ()
-        return
-    cap = n if _cap is None else min(_cap, n)
-    for first in range(cap, 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
-
-
-def _has_hook_multiple(shape: tuple[int, ...], p: int) -> bool:
-    if not shape:
-        return False
-    conjugate = [0] * shape[0]
-    for row in shape:
-        for j in range(row):
-            conjugate[j] += 1
-    for i, row in enumerate(shape):
-        for j in range(row):
-            hook = (row - j) + (conjugate[j] - i) - 1
-            if hook % p == 0:
-                return True
-    return False
-
-
-def pcore_count_bruteforce(p: int, n: int) -> int:
-    """Count partitions of n with no hook divisible by p, by enumeration."""
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    if not 0 <= n <= 30:
-        raise ValueError("enumeration guard: 0 <= n <= 30")
-    return sum(1 for shape in partitions(n)
-               if not _has_hook_multiple(shape, p))
-
-
-PRODUCT_FORMS = ("F", "f", "H")
+PRODUCT_FORMS = ("f", "H")
 
 
 @dataclass(frozen=True)
@@ -115,13 +77,12 @@ def eta_quotient_value(p: int, x, factors: int, which: str,
                        config: PrecisionConfig = DEFAULT_PRECISION) -> ProductValue:
     """Numeric partial product over n = 1..factors at a point inside the disk.
 
-    which = "F": product of 1/(1 - x^n)            (partition counts)
     which = "f": product of (1-x^(pn))^p/(1-x^n)   (p-core counts)
     which = "H": product of (1-x^n)^p/(1-x^(pn))
 
-    The relative truncation error is bounded by expm1(C * |x|^(factors+1)
-    / (1-|x|)^2) with C = 1 for F and p+1 otherwise; the bound is returned
-    alongside the value.  Requires |x| <= 0.95.
+    The relative truncation error is bounded by expm1((p+1) * |x|^(factors+1)
+    / (1-|x|)^2); the bound is returned alongside the value.  Requires
+    |x| <= 0.95.
     """
     if which not in PRODUCT_FORMS:
         raise ValueError(f"which must be one of {PRODUCT_FORMS}")
@@ -141,15 +102,11 @@ def eta_quotient_value(p: int, x, factors: int, which: str,
     zp = z ** p
     for _ in range(factors):
         zn *= z
-        if which == "F":
-            val /= one - zn
-        elif which == "f":
-            zpn *= zp
+        zpn *= zp
+        if which == "f":
             val *= (one - zpn) ** p / (one - zn)
         else:
-            zpn *= zp
             val *= (one - zn) ** p / (one - zpn)
-    coeff = 1 if which == "F" else p + 1
-    tail = coeff * radius ** (factors + 1) / (1.0 - radius) ** 2
+    tail = (p + 1) * radius ** (factors + 1) / (1.0 - radius) ** 2
     bound = math.expm1(tail) if tail < 700 else math.inf
     return ProductValue(value=+val, truncation_bound=bound)

@@ -14,9 +14,8 @@ import math
 from fractions import Fraction
 
 from mpmath.libmp import (finf, fone, from_int, fzero, mpf_abs, mpf_add,
-                          mpf_div, mpf_gt, mpf_lt, mpf_mul, mpf_neg, mpf_pow,
-                          mpf_pow_int, mpf_rdiv_int, mpf_sub, mpf_sum,
-                          round_nearest)
+                          mpf_div, mpf_gt, mpf_lt, mpf_mul, mpf_neg,
+                          mpf_pow_int, mpf_rdiv_int, mpf_sum, round_nearest)
 
 from .arith import bernoulli_number, bernoulli_poly
 from .precision import (DEFAULT_PRECISION, GUARD_DIGITS, PrecisionConfig,
@@ -72,16 +71,15 @@ def cot_derivative(r: int, q, config: PrecisionConfig = DEFAULT_PRECISION):
     return val if r % 2 == 0 else -val
 
 
-def _hurwitz_head(ctx, sm, a: Fraction, terms: int):
-    """sum_{n<terms} (n + a)^(-s) for s = sm, an mpf, on mpmath's raw tuples
-    with the roundings of fsum(to_mpf(ctx, n + a) ** -sm): (n*q + p)/q
-    rounded once, each power rounded once (mpf_pow hands integer exponents
-    to mpf_pow_int), the sum exact and rounded once."""
+def _hurwitz_head(ctx, s: int, a: Fraction, terms: int):
+    """sum_{n<terms} (n + a)^(-s) for integer s, on mpmath's raw tuples with
+    the roundings of fsum(to_mpf(ctx, n + a) ** -s): (n*q + p)/q rounded
+    once, each power rounded once, the sum exact and rounded once."""
     prec, p, q = ctx.prec, a.numerator, a.denominator
-    neg_s, den = mpf_neg(sm._mpf_), from_int(q)
+    den = from_int(q)
     return ctx.make_mpf(mpf_sum(
-        [mpf_pow(mpf_div(from_int(n * q + p), den, prec, round_nearest),
-                 neg_s, prec, round_nearest) for n in range(terms)],
+        [mpf_pow_int(mpf_div(from_int(n * q + p), den, prec, round_nearest),
+                     -s, prec, round_nearest) for n in range(terms)],
         prec, round_nearest))
 
 
@@ -91,10 +89,12 @@ def _euler_maclaurin_coefficient(ctx, j: int):
     return to_mpf(ctx, bernoulli_number(2 * j) / math.factorial(2 * j))._mpf_
 
 
-def hurwitz_zeta(s, a, config: PrecisionConfig = DEFAULT_PRECISION):
-    """zeta(s, a) = sum_{n>=0} (n+a)^(-s) for real s >= 2, rational a in (0,1].
+@functools.lru_cache(maxsize=None)
+def hurwitz_zeta(s: int, a, config: PrecisionConfig = DEFAULT_PRECISION):
+    """zeta(s, a) = sum_{n>=0} (n+a)^(-s) for integer s >= 2, rational a in
+    (0, 1].
 
-    Direct summation of M = max(2*ceil(s), decimal_digits) terms, then the
+    Direct summation of M = max(2*s, decimal_digits) terms, then the
     Euler-Maclaurin tail
         x^(1-s)/(s-1) + x^(-s)/2
           + sum_j B_{2j}/(2j)! * s(s+1)...(s+2j-2) * x^(-s-2j+1)
@@ -105,34 +105,30 @@ def hurwitz_zeta(s, a, config: PrecisionConfig = DEFAULT_PRECISION):
     Everything runs at the working precision, GUARD_DIGITS beyond
     decimal_digits, on mpmath's raw tuples.  The head (_hurwitz_head) has
     the roundings the mpf expression fsum((n + a) ** -s) makes.  The tail
-    makes one libmp call (mpf_add, mpf_mul, mpf_pow and so on), rounded to
-    nearest, wherever the mpf operator form of the formula above rounds,
-    in the same order; (s + 2j - 1) is (s + 2j) - 1, two roundings.  The tail's B_{2j}/(2j)! are rounded once per
-    (precision, j) and cached.
+    makes one libmp call (mpf_add, mpf_mul, mpf_pow_int and so on), rounded
+    to nearest, wherever the mpf operator form of the formula above rounds,
+    in the same order; its integer factors s - 1 and (s + 2j - 1)(s + 2j)
+    are exact.  The tail's B_{2j}/(2j)! are rounded once per (precision, j)
+    and cached, and so is each value, per (s, a, config).
     """
-    s_exact = Fraction(s) if isinstance(s, int) else s
-    sf = float(s)
-    if sf < 2:
-        raise ValueError("hurwitz_zeta requires s >= 2")
-    a = Fraction(a)
+    if s != int(s) or s < 2:
+        raise ValueError("hurwitz_zeta requires integer s >= 2")
+    s, a = int(s), Fraction(a)
     if not 0 < a <= 1:
         raise ValueError("hurwitz_zeta requires 0 < a <= 1")
     ctx = config.context()
     prec, rnd = ctx.prec, round_nearest
-    sm = to_mpf(ctx, s_exact) if isinstance(s_exact, Fraction) else ctx.mpf(s_exact)
-    M = max(2 * math.ceil(sf), config.decimal_digits)
-    total = _hurwitz_head(ctx, sm, a, M)._mpf_
-    sm, x = sm._mpf_, to_mpf(ctx, M + a)._mpf_
+    M = max(2 * s, config.decimal_digits)
+    total = _hurwitz_head(ctx, s, a, M)._mpf_
+    x = to_mpf(ctx, M + a)._mpf_
     # x^(1-s)/(s-1) + x^(-s)/2
-    total = mpf_add(total, mpf_div(
-        mpf_pow(x, mpf_sub(fone, sm, prec, rnd), prec, rnd),
-        mpf_sub(sm, fone, prec, rnd), prec, rnd), prec, rnd)
-    neg_s = mpf_neg(sm, prec, rnd)
-    total = mpf_add(total, mpf_div(mpf_pow(x, neg_s, prec, rnd), from_int(2),
+    total = mpf_add(total, mpf_div(mpf_pow_int(x, 1 - s, prec, rnd),
+                                   from_int(s - 1), prec, rnd), prec, rnd)
+    total = mpf_add(total, mpf_div(mpf_pow_int(x, -s, prec, rnd), from_int(2),
                                    prec, rnd), prec, rnd)
     eps = mpf_pow_int(from_int(10), -(config.decimal_digits + 5), prec, rnd)
-    rising = sm  # s(s+1)...(s+2j-2), starting at j = 1
-    xpow = mpf_pow(x, mpf_sub(neg_s, fone, prec, rnd), prec, rnd)
+    rising = from_int(s)  # s(s+1)...(s+2j-2), starting at j = 1
+    xpow = mpf_pow_int(x, -s - 1, prec, rnd)
     inv_x2 = mpf_rdiv_int(1, mpf_mul(x, x, prec, rnd), prec, rnd)
     previous = finf
     j = 1
@@ -150,9 +146,8 @@ def hurwitz_zeta(s, a, config: PrecisionConfig = DEFAULT_PRECISION):
                 f"term size {ctx.nstr(ctx.make_mpf(size), 5)}"
             )
         previous = size
-        shifted = mpf_add(sm, from_int(2 * j), prec, rnd)  # s + 2j
-        rising = mpf_mul(rising, mpf_mul(mpf_sub(shifted, fone, prec, rnd),
-                                         shifted, prec, rnd), prec, rnd)
+        rising = mpf_mul(rising, from_int((s + 2 * j - 1) * (s + 2 * j)),
+                         prec, rnd)
         xpow = mpf_mul(xpow, inv_x2, prec, rnd)
         j += 1
     return ctx.make_mpf(total)
@@ -163,15 +158,6 @@ def hurwitz_zeta_neg(m: int, a) -> Fraction:
     if m < 0:
         raise ValueError("hurwitz_zeta_neg requires m >= 0")
     return -bernoulli_poly(m + 1, Fraction(a)) / (m + 1)
-
-
-def _fold(x) -> tuple[Fraction, bool]:
-    """x reduced mod 1 onto [0, 1/2], and whether l(s, x) is the conjugate
-    of l(s, folded x), by the termwise l(s, 1-x) = conj(l(s, x))."""
-    x = Fraction(x) % 1
-    if x > Fraction(1, 2):
-        return 1 - x, True
-    return x, False
 
 
 @functools.lru_cache(maxsize=None)
@@ -230,17 +216,28 @@ def _horner(ctx, coeffs, u):
 def periodic_zeta(s: int, x, config: PrecisionConfig = DEFAULT_PRECISION):
     """l(s, x) = sum_{n>=1} e^(2*pi*i*n*x) / n^s for integer s >= 2, rational x.
 
-    x is folded onto [0, 1/2] by the termwise conjugation
-    l(s, 1-x) = conj(l(s, x)).  l(s, 0) = zeta(s, 1); every other folded x
-    sums the log series of _log_series, whose coefficients are built once
-    per (precision, s) and cut where |c_m| * pi^m < eps/8.  E and O are
-    evaluated by Horner's rule on raw tuples (_horner) GUARD_DIGITS beyond
-    the working precision, and the result is rounded once.  Always complex.
+    x is reduced mod 1 and folded onto [0, 1/2] by the termwise
+    conjugation l(s, 1-x) = conj(l(s, x)); _folded_periodic_zeta computes
+    and caches the value at the folded x.  Always complex.
     """
     if s != int(s) or s < 2:
         raise ValueError("periodic_zeta requires integer s >= 2")
-    s = int(s)
-    x, conjugate = _fold(x)
+    s, x = int(s), Fraction(x) % 1
+    if x > Fraction(1, 2):
+        return config.context().conj(_folded_periodic_zeta(s, 1 - x, config))
+    return _folded_periodic_zeta(s, x, config)
+
+
+@functools.lru_cache(maxsize=None)
+def _folded_periodic_zeta(s: int, x: Fraction, config: PrecisionConfig):
+    """l(s, x) for x in [0, 1/2], computed once per (s, x, config).
+
+    l(s, 0) = zeta(s, 1); every other x sums the log series of _log_series,
+    whose coefficients are built once per (precision, s) and cut where
+    |c_m| * pi^m < eps/8.  E and O are evaluated by Horner's rule on raw
+    tuples (_horner) GUARD_DIGITS beyond the working precision, and the
+    result is rounded once.
+    """
     ctx = config.context()
     if x == 0:
         return ctx.mpc(hurwitz_zeta(s, 1, config))
@@ -253,5 +250,4 @@ def periodic_zeta(s: int, x, config: PrecisionConfig = DEFAULT_PRECISION):
     re, im = scale * (harmonic - high.ln(t)), scale * high.pi / 2
     for _ in range((s - 1) % 4):
         re, im = -im, re
-    val = ctx.mpc(_horner(high, even, u) + re, t * _horner(high, odd, u) + im)
-    return ctx.conj(val) if conjugate else val
+    return ctx.mpc(_horner(high, even, u) + re, t * _horner(high, odd, u) + im)

@@ -1,6 +1,8 @@
 """Reference expansions for the tests: truncated integer power series with
-their algebra, Euler's product and the partition generating function, and
-the mpmath-number expressions that the library's raw-tuple loops replace.
+their algebra, Euler's product and the partition generating function, two
+counts of p-cores that share nothing with the series engine (hook lengths
+and lattice points), the partition product evaluated numerically, and the
+mpmath-number expressions that the library's raw-tuple loops replace.
 
 The library returns plain coefficient tuples; these oracles share no code
 with it, so products formed here check its coefficients independently.
@@ -106,6 +108,91 @@ def partition_series(nmax: int) -> PowerSeries:
     return PowerSeries(tuple(p))
 
 
+def partitions(n: int, _cap: int | None = None):
+    """Yield all partitions of n as descending tuples."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        yield ()
+        return
+    cap = n if _cap is None else min(_cap, n)
+    for first in range(cap, 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _has_hook_multiple(shape: tuple[int, ...], p: int) -> bool:
+    if not shape:
+        return False
+    conjugate = [0] * shape[0]
+    for row in shape:
+        for j in range(row):
+            conjugate[j] += 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            hook = (row - j) + (conjugate[j] - i) - 1
+            if hook % p == 0:
+                return True
+    return False
+
+
+def pcore_count_bruteforce(p: int, n: int) -> int:
+    """Count partitions of n with no hook divisible by p, by enumeration."""
+    if p < 2:
+        raise ValueError("p must be >= 2")
+    if not 0 <= n <= 30:
+        raise ValueError("enumeration guard: 0 <= n <= 30")
+    return sum(1 for shape in partitions(n)
+               if not _has_hook_multiple(shape, p))
+
+
+def core_counts_by_lattice(t: int, nmax: int) -> list[int]:
+    """Counts of t-cores of 0..nmax as lattice points.
+
+    The t-cores of n correspond one to one with the v in Z^t with
+    sum v_i = 0 and n = (t/2)|v|^2 + sum_i i*v_i, i = 0..t-1
+    (Garvan, Kim and Stanton, Cranks and t-cores, Invent. Math. 101, 1990).
+    In w_i = t*v_i + i that reads |w|^2 = 2tn + sum_i i^2 with
+    sum w_i = t(t-1)/2, so every point with n <= nmax lies in a ball.  The
+    enumeration fixes w_0, w_1, ... in turn and keeps a prefix only while
+    the m coordinates left, which must sum to some S, can do so inside the
+    ball: their squares add up to at least S^2/m.  The last coordinate is
+    what the sum leaves.
+    """
+    if t < 2 or nmax < 0:
+        raise ValueError("need t >= 2 and nmax >= 0")
+    base = sum(i * i for i in range(t))
+    budget = 2 * t * nmax + base
+    counts = [0] * (nmax + 1)
+
+    def extend(i, owed, room):
+        # w_0..w_{i-1} fixed: the rest must sum to owed, their squares to
+        # at most room
+        if i == t - 1:
+            counts[(budget - room + owed * owed - base) // (2 * t)] += 1
+            return
+        left = t - 1 - i  # coordinates after w_i
+        reach = math.isqrt(room)
+        for v in range(-((reach + i) // t), (reach - i) // t + 1):
+            w = t * v + i
+            if left * (room - w * w) >= (owed - w) ** 2:
+                extend(i + 1, owed - w, room - w * w)
+
+    extend(0, t * (t - 1) // 2, budget)
+    return counts
+
+
+def partition_product(ctx, x, factors: int):
+    """prod_{n=1..factors} 1/(1 - x^n), the partial product of the
+    partition generating function F, as mpmath operators."""
+    z, one = ctx.convert(x), ctx.mpf(1)
+    value, zn = ctx.mpc(1), ctx.mpc(1)
+    for _ in range(factors):
+        zn *= z
+        value /= one - zn
+    return +value
+
+
 def hurwitz_head(ctx, s, a, terms: int):
     """sum_{n<terms} (n + a)^(-s) as fsum of mpf powers, each n + a one
     correctly rounded quotient; s is an int or a Fraction."""
@@ -117,7 +204,9 @@ def hurwitz_head(ctx, s, a, terms: int):
 
 def dft_by_fsum(ctx, samples) -> list:
     """fhat(mu) = sum_j f_j e^(-2*pi*i*j*mu/k) as ctx.fsum of mpmath
-    products, the roots from correctly rounded rational phases."""
+    products, the roots from correctly rounded rational phases.  This is
+    fourier.dft bit for bit wherever neither sum drops a term far below
+    its running total."""
     k = len(samples)
     roots = [ctx.expjpi(ctx.fdiv(-2 * m, k)) for m in range(k)]
     values = [ctx.convert(v) for v in samples]

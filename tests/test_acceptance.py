@@ -14,6 +14,7 @@ from math import gcd
 
 import pytest
 
+from oracles import pcore_count_bruteforce
 from pcores.asympt import (approx_divisor_sum, approx_singular_series,
                            bernoulli_char_sum, class_number,
                            cotangent_char_sum, leading_constant_report,
@@ -21,7 +22,7 @@ from pcores.asympt import (approx_divisor_sum, approx_singular_series,
                            verify_eta_transform, verify_ramanujan_identity)
 from pcores.cli import run_cli
 from pcores.fourier import verify_transform_table
-from pcores.series import pcore_count, pcore_count_bruteforce
+from pcores.series import pcore_count
 
 TABLED_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31)
 

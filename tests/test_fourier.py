@@ -1,20 +1,19 @@
 """Finite Fourier transforms of Bernoulli, Legendre, and zeta grids."""
 
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-import pcores.fourier
 from oracles import dft_by_fsum, max_deviation
 from pcores.arith import bernoulli_poly, is_prime, legendre_symbol
-from pcores.fourier import (_max_abs, _row, _ZetaMemo, check_bernoulli_row,
+from pcores.fourier import (_max_abs, _row, check_bernoulli_row,
                             check_legendre_row, check_zeta_row, dft,
                             grid_function, inner_product,
                             verify_transform_table)
-from pcores.precision import DEFAULT_PRECISION, PrecisionConfig
-from pcores.special import cot_derivative, periodic_zeta
+from pcores.precision import DEFAULT_PRECISION, PrecisionConfig, to_mpf
+from pcores.special import (_folded_periodic_zeta, cot_derivative,
+                            hurwitz_zeta, periodic_zeta)
 
 
 class TestDft:
@@ -80,6 +79,28 @@ class TestDft:
             hat = dft(grid_function(p, symbols), config).samples
             assert ([v._mpc_ for v in hat]
                     == [v._mpc_ for v in dft_by_fsum(ctx, symbols)])
+
+    def test_sums_are_exact_then_rounded_once(self):
+        # each output is the exact sum of the rounded products, rounded
+        # once; fsum, adding in j order, drops the 1e-200 against the 1 at
+        # mu = 0, and at mu = 2, where it would break a tie in the last bit
+        config = PrecisionConfig(20)
+        ctx = config.context()
+        samples = [1, ctx.mpf(10) ** -200, -1]
+        roots = [ctx.expjpi(ctx.fdiv(-2 * m, 3)) for m in range(3)]
+
+        def exact(part):
+            sign, man, exp, _ = part
+            return (-1) ** sign * man * Fraction(2) ** exp
+
+        hat = dft(grid_function(3, samples), config).samples
+        for mu in range(3):
+            products = [v * roots[j * mu % 3] for j, v in enumerate(samples)]
+            sums = [sum(exact(p._mpc_[i]) for p in products) for i in (0, 1)]
+            assert hat[mu]._mpc_ == tuple(to_mpf(ctx, s)._mpf_ for s in sums)
+        fsum = dft_by_fsum(ctx, samples)
+        assert hat[0] == samples[1] and fsum[0] == 0
+        assert fsum[2].real == 1.5 != hat[2].real
 
     def test_roots_are_keyed_on_precision(self):
         # a 100-digit row after a 40-digit one must not reuse 40-digit roots
@@ -212,53 +233,54 @@ class TestZetaRows:
 
     @pytest.mark.parametrize("s", [2, 3, 5])
     def test_memo_conjugates_folded_values_exactly(self, s):
-        memo = _ZetaMemo(DEFAULT_PRECISION)
+        # l(s, x) and l(s, 1 - x) share one value, computed at the folded
+        # argument and conjugated on the way out; l(s, 0) is zeta(s, 1)
+        ctx = DEFAULT_PRECISION.context()
+        _folded_periodic_zeta.cache_clear()
         for x in (Fraction(3, 5), Fraction(2, 3), Fraction(3, 4),
                   Fraction(5, 6), Fraction(12, 13)):
-            assert memo.periodic(s, x) == periodic_zeta(s, x)
-        assert memo.periodic(s, 0) == periodic_zeta(s, 0)
-        assert all(x <= Fraction(1, 2) for _, x in memo.periodics)
+            fresh = _folded_periodic_zeta.__wrapped__(s, 1 - x,
+                                                      DEFAULT_PRECISION)
+            assert periodic_zeta(s, x) == ctx.conj(fresh)
+            assert periodic_zeta(s, 1 - x) == fresh
+        assert periodic_zeta(s, 0) == ctx.mpc(hurwitz_zeta(s, 1))
+        assert _folded_periodic_zeta.cache_info().misses == 5 + 1
 
 
 class TestTableMemo:
     SIZES = dict(kmax=6, rmax=1, smax=3, pmax=3, grids=2, grid_kmax=2)
 
-    def test_each_value_computed_once_per_call(self, monkeypatch):
-        calls = Counter()
+    @staticmethod
+    def computed():
+        """How many zeta(s, a) and folded l(s, x) have been computed since
+        the caches were last cleared."""
+        return (hurwitz_zeta.cache_info().misses,
+                _folded_periodic_zeta.cache_info().misses)
 
-        def counting(name, fn):
-            def wrapper(s, x, config):
-                calls[name, s, x] += 1
-                return fn(s, x, config)
-            return wrapper
+    @staticmethod
+    def clear():
+        hurwitz_zeta.cache_clear()
+        _folded_periodic_zeta.cache_clear()
 
-        monkeypatch.setattr(pcores.fourier, "hurwitz_zeta",
-                            counting("zeta", pcores.fourier.hurwitz_zeta))
-        monkeypatch.setattr(pcores.fourier, "periodic_zeta",
-                            counting("l", pcores.fourier.periodic_zeta))
-        for _ in range(2):  # no value outlives a table call
-            calls.clear()
+    def test_each_value_computed_once_per_call(self):
+        self.clear()
+        for _ in range(2):  # the second table computes nothing
             verify_transform_table(**self.SIZES)
-            assert set(calls.values()) == {1}
-            for s in (2, 3):
-                # 12 reduced fractions in (0, 1] with denominator <= 6, and
-                # 6 folded arguments 1/2, 1/3, 1/4, 1/5, 2/5, 1/6; l(s, 0)
-                # is the memo's zeta(s, 1)
-                zetas = [a for name, t, a in calls if name == "zeta" and t == s]
-                folded = [x for name, t, x in calls if name == "l" and t == s]
-                assert len(zetas) == 12 and len(folded) == 6
-                assert all(0 < x <= Fraction(1, 2) for x in folded)
-        # nor outlives it: a row on its own computes its values afresh
-        calls.clear()
+            # for each s in (2, 3): 12 reduced fractions in (0, 1] with
+            # denominator <= 6, and 7 folded arguments 0, 1/2, 1/3, 1/4,
+            # 1/5, 2/5, 1/6, of which l(s, 0) reads the cached zeta(s, 1)
+            assert self.computed() == (2 * 12, 2 * 7)
+        # a row on its own reuses them too: zeta(2, a) at a = 1/6, ..., 1
+        # and l(2, x) at x = 0, 1/6, 1/3, 1/2
         check_zeta_row(6, 2)
-        # zeta(2, a) at a = 1/6, ..., 1 and l(2, x) at x = 1/6, 1/3, 1/2
-        assert sum(calls.values()) == 6 + 3
+        assert self.computed() == (2 * 12, 2 * 7)
 
     def test_rows_match_fresh_rows(self):
         table = verify_transform_table(**self.SIZES)
         rows = [row for row in table.rows if row.name == "zeta"]
         assert len(rows) == 5 * 2
         for row in rows:
+            self.clear()
             fresh = check_zeta_row(row.k, row.parameters["s"])
             assert row.max_deviation == fresh.max_deviation
 

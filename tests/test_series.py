@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import PowerSeries, euler_series, partition_series
+from oracles import (PowerSeries, core_counts_by_lattice, euler_series,
+                     partition_product, partition_series, partitions,
+                     pcore_count_bruteforce)
 from pcores.precision import DEFAULT_PRECISION
-from pcores.series import (eta_quotient_value, partitions, pcore_count,
-                           pcore_count_bruteforce, pcore_numerator,
+from pcores.series import (eta_quotient_value, pcore_count, pcore_numerator,
                            pcore_series)
 
 P100 = 190569292
@@ -97,6 +98,22 @@ class TestBruteforce:
             pcore_count_bruteforce(5, 31)
 
 
+class TestLatticeOracle:
+    # t-cores as lattice points (Garvan-Kim-Stanton), at prime and
+    # composite t, far past the brute force's n <= 30
+    BOUNDS = {4: 200, 5: 200, 6: 150, 9: 60, 11: 40}
+
+    def test_matches_series(self):
+        for t, nmax in self.BOUNDS.items():
+            assert (tuple(core_counts_by_lattice(t, nmax))
+                    == pcore_series(t, nmax))
+
+    def test_matches_bruteforce(self):
+        for t in self.BOUNDS:
+            assert core_counts_by_lattice(t, 30) == [
+                pcore_count_bruteforce(t, n) for n in range(31)]
+
+
 class TestPowerSeries:
     def test_multiplication_truncates(self):
         a = PowerSeries((1, 1, 1))
@@ -135,9 +152,10 @@ class TestPowerSeries:
 
 class TestEtaQuotientValue:
     def test_value_at_zero(self):
-        for which in ("F", "f", "H"):
+        for which in ("f", "H"):
             result = eta_quotient_value(5, 0, 50, which)
             assert result.value == 1
+        assert partition_product(DEFAULT_PRECISION.context(), 0, 50) == 1
 
     def test_f_is_numerator_over_f_denominator(self):
         # f(x) = prod (1-x^(5n))^5 / prod (1-x^n): check against the two
@@ -145,14 +163,14 @@ class TestEtaQuotientValue:
         ctx = DEFAULT_PRECISION.context()
         x = ctx.mpf(3) / 10
         f_val = eta_quotient_value(5, x, 300, "f").value
-        big_f = eta_quotient_value(5, x, 300, "F").value
-        big_f_x5 = eta_quotient_value(5, x ** 5, 300, "F").value
+        big_f = partition_product(ctx, x, 300)
+        big_f_x5 = partition_product(ctx, x ** 5, 300)
         assert abs(f_val - big_f / big_f_x5 ** 5) < 1e-50
 
     def test_capital_f_matches_partition_series(self):
         ctx = DEFAULT_PRECISION.context()
         x = ctx.mpf(1) / 2
-        value = eta_quotient_value(5, x, 600, "F").value
+        value = partition_product(ctx, x, 600)
         series_value = partition_series(220).evaluate(Fraction(1, 2))
         # partial series underestimates; the gap is below the product's
         # own truncation error at these depths
@@ -174,12 +192,12 @@ class TestEtaQuotientValue:
 
     def test_radius_guard(self):
         with pytest.raises(ValueError):
-            eta_quotient_value(5, 0.96, 100, "F")
+            eta_quotient_value(5, 0.96, 100, "f")
 
     def test_truncation_bound_is_honest(self):
         ctx = DEFAULT_PRECISION.context()
         x = ctx.mpf(1) / 2
-        for which in ("F", "f", "H"):
+        for which in ("f", "H"):
             shallow = eta_quotient_value(5, x, 50, which)
             deep = eta_quotient_value(5, x, 500, which)
             observed = abs(shallow.value - deep.value) / abs(deep.value)
@@ -188,3 +206,5 @@ class TestEtaQuotientValue:
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError):
             eta_quotient_value(5, 0.1, 100, "G")
+        with pytest.raises(ValueError):  # the partition product is an oracle
+            eta_quotient_value(5, 0.1, 100, "F")
