@@ -89,10 +89,24 @@ def _euler_maclaurin_coefficient(ctx, j: int):
     return to_mpf(ctx, bernoulli_number(2 * j) / math.factorial(2 * j))._mpf_
 
 
-@functools.lru_cache(maxsize=None)
 def hurwitz_zeta(s: int, a, config: PrecisionConfig = DEFAULT_PRECISION):
     """zeta(s, a) = sum_{n>=0} (n+a)^(-s) for integer s >= 2, rational a in
-    (0, 1].
+    (0, 1], computed by _hurwitz_zeta once per (s, a, config) and cached.
+
+    Its cache_info and cache_clear are _hurwitz_zeta's, so a call by this
+    name shows as a cache hit or miss however s, a and config are written.
+    """
+    if s != int(s) or s < 2:
+        raise ValueError("hurwitz_zeta requires integer s >= 2")
+    a = Fraction(a)
+    if not 0 < a <= 1:
+        raise ValueError("hurwitz_zeta requires 0 < a <= 1")
+    return _hurwitz_zeta(int(s), a, config)
+
+
+@functools.lru_cache(maxsize=None)
+def _hurwitz_zeta(s: int, a: Fraction, config: PrecisionConfig):
+    """zeta(s, a) for integer s >= 2 and Fraction a in (0, 1].
 
     Direct summation of M = max(2*s, decimal_digits) terms, then the
     Euler-Maclaurin tail
@@ -109,13 +123,8 @@ def hurwitz_zeta(s: int, a, config: PrecisionConfig = DEFAULT_PRECISION):
     to nearest, wherever the mpf operator form of the formula above rounds,
     in the same order; its integer factors s - 1 and (s + 2j - 1)(s + 2j)
     are exact.  The tail's B_{2j}/(2j)! are rounded once per (precision, j)
-    and cached, and so is each value, per (s, a, config).
+    and cached.
     """
-    if s != int(s) or s < 2:
-        raise ValueError("hurwitz_zeta requires integer s >= 2")
-    s, a = int(s), Fraction(a)
-    if not 0 < a <= 1:
-        raise ValueError("hurwitz_zeta requires 0 < a <= 1")
     ctx = config.context()
     prec, rnd = ctx.prec, round_nearest
     M = max(2 * s, config.decimal_digits)
@@ -151,6 +160,10 @@ def hurwitz_zeta(s: int, a, config: PrecisionConfig = DEFAULT_PRECISION):
         xpow = mpf_mul(xpow, inv_x2, prec, rnd)
         j += 1
     return ctx.make_mpf(total)
+
+
+hurwitz_zeta.cache_info = _hurwitz_zeta.cache_info
+hurwitz_zeta.cache_clear = _hurwitz_zeta.cache_clear
 
 
 def hurwitz_zeta_neg(m: int, a) -> Fraction:

@@ -232,11 +232,11 @@ class TestZetaRows:
                 assert report.passed and report.max_deviation < 1e-40
 
     @pytest.mark.parametrize("s", [2, 3, 5])
-    def test_memo_conjugates_folded_values_exactly(self, s):
+    def test_memo_conjugates_folded_values_exactly(self, s,
+                                                   clear_zeta_caches):
         # l(s, x) and l(s, 1 - x) share one value, computed at the folded
         # argument and conjugated on the way out; l(s, 0) is zeta(s, 1)
         ctx = DEFAULT_PRECISION.context()
-        _folded_periodic_zeta.cache_clear()
         for x in (Fraction(3, 5), Fraction(2, 3), Fraction(3, 4),
                   Fraction(5, 6), Fraction(12, 13)):
             fresh = _folded_periodic_zeta.__wrapped__(s, 1 - x,
@@ -257,13 +257,7 @@ class TestTableMemo:
         return (hurwitz_zeta.cache_info().misses,
                 _folded_periodic_zeta.cache_info().misses)
 
-    @staticmethod
-    def clear():
-        hurwitz_zeta.cache_clear()
-        _folded_periodic_zeta.cache_clear()
-
-    def test_each_value_computed_once_per_call(self):
-        self.clear()
+    def test_each_value_computed_once_per_call(self, clear_zeta_caches):
         for _ in range(2):  # the second table computes nothing
             verify_transform_table(**self.SIZES)
             # for each s in (2, 3): 12 reduced fractions in (0, 1] with
@@ -275,12 +269,12 @@ class TestTableMemo:
         check_zeta_row(6, 2)
         assert self.computed() == (2 * 12, 2 * 7)
 
-    def test_rows_match_fresh_rows(self):
+    def test_rows_match_fresh_rows(self, clear_zeta_caches):
         table = verify_transform_table(**self.SIZES)
         rows = [row for row in table.rows if row.name == "zeta"]
         assert len(rows) == 5 * 2
         for row in rows:
-            self.clear()
+            clear_zeta_caches()
             fresh = check_zeta_row(row.k, row.parameters["s"])
             assert row.max_deviation == fresh.max_deviation
 

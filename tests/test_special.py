@@ -22,15 +22,14 @@ HIGH = PrecisionConfig.for_digits(80)
 
 
 @pytest.fixture
-def patch_special(monkeypatch):
-    """Set an attribute of pcores.special for one test, with hurwitz_zeta's
-    cache cleared once the patch is in and again after the test, so that no
-    value computed under the patch is served outside it."""
+def patch_special(monkeypatch, clear_zeta_caches):
+    """Set an attribute of pcores.special for one test, with the zeta caches
+    cleared once the patch is in and again after the test, so that no value
+    computed under the patch is served outside it."""
     def patch(name, value):
         monkeypatch.setattr(pcores.special, name, value)
-        hurwitz_zeta.cache_clear()
-    yield patch
-    hurwitz_zeta.cache_clear()
+        clear_zeta_caches()
+    return patch
 
 
 # l(s, x) for s = 2..8 at every x in (0, 1/2] with denominator <= 13, as
@@ -325,10 +324,9 @@ class TestPeriodicZeta:
                 expected = periodic_zeta_by_mpf(ctx, high, series, s, x)
                 assert periodic_zeta(s, x, config)._mpc_ == expected._mpc_
 
-    def test_coefficients_keyed_on_precision(self):
+    def test_coefficients_keyed_on_precision(self, clear_zeta_caches):
         # a 100-digit value after a 40-digit one must not reuse 40-digit
-        # coefficients
-        _log_series.cache_clear()
+        # coefficients; both are computed afresh from _log_series
         x = Fraction(2, 7)
         periodic_zeta(5, x, PrecisionConfig(40))
         value = periodic_zeta(5, x, PrecisionConfig(100))
