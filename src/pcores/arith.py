@@ -7,8 +7,10 @@ exact: integers or Fractions, no rounding anywhere.
 
 from __future__ import annotations
 
+import functools
 import threading
 from fractions import Fraction
+from itertools import compress
 from math import comb, gcd, isqrt
 
 # Deterministic Miller-Rabin witness set for n < 3.3e24 — far beyond any
@@ -16,7 +18,9 @@ from math import comb, gcd, isqrt
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@functools.lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, run once per n and cached."""
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -41,21 +45,30 @@ def is_prime(n: int) -> bool:
 
 
 def mobius(m: int) -> int:
-    """Mobius function by trial-division factorization."""
+    """Mobius function, read from a sieve up to the next power of two."""
     if m < 1:
         raise ValueError("mobius requires m >= 1")
-    result = 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            m //= d
-            if m % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if m > 1:
-        result = -result
-    return result
+    return _mobius_table(m.bit_length())[m] - 1
+
+
+# bytes.translate table taking 1 + mu to 1 - mu
+_NEGATE = bytes.maketrans(b"\0\2", b"\2\0")
+
+
+@functools.lru_cache(maxsize=None)
+def _mobius_table(bits: int) -> bytes:
+    """1 + mu(m) for 0 < m < 2^bits, by a sieve: every prime q flips the
+    sign at its multiples and zeroes it at the multiples of q^2."""
+    n = 1 << bits
+    prime = bytearray(b"\0\0") + bytearray(b"\1") * (n - 2)
+    for q in range(2, isqrt(n) + 1):
+        if prime[q]:
+            prime[q * q::q] = bytes(len(range(q * q, n, q)))
+    table = bytearray(b"\2") * n
+    for q in compress(range(n), prime):
+        table[q::q] = table[q::q].translate(_NEGATE)
+        table[q * q::q * q] = b"\1" * len(range(q * q, n, q * q))
+    return bytes(table)
 
 
 def legendre_symbol(a: int, p: int) -> int:

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
+from mpmath.libmp import from_man_exp, round_nearest
+
 from .arith import (bernoulli_poly, dedekind_sum, divisors, is_prime,
                     legendre_symbol, ramanujan_sum, sawtooth)
 from .precision import (DEFAULT_PRECISION, PrecisionConfig, SnappedInteger,
@@ -494,7 +496,12 @@ def verify_dirichlet_series(p: int, s: int, n: int, kmax: int,
 
         p^(1+s) * sum_{d|n} (d|p) d^-s / sum_j (j|p) zeta(1+s, j/p)
 
-    to within the rigorous tail bound sigma(n) * kmax^-s / s plus 10^-20."""
+    to within the rigorous tail bound sigma(n) * kmax^-s / s plus 10^-20.
+
+    The partial sum is one fixed-point sum: each exact rational term is cut
+    once to an integer multiple of 2^-W, W = prec + bit_length(kmax) + 4
+    for the working precision prec, so the exact integer sum is within
+    2^-(prec+4) of the partial sum; it is rounded once to prec bits."""
     _require_p(p)
     if s < 2:
         raise ValueError("s must be >= 2 for absolute convergence headroom")
@@ -503,15 +510,14 @@ def verify_dirichlet_series(p: int, s: int, n: int, kmax: int,
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     ctx = config.context()
-    terms = []
+    W = ctx.prec + kmax.bit_length() + 4
+    total = 0
     for k in range(1, kmax + 1):
-        if k % p == 0:
-            continue
-        c = ramanujan_sum(k, n)
-        if c == 0:
-            continue
-        terms.append(legendre_symbol(k, p) * c * ctx.mpf(k) ** (-(1 + s)))
-    partial = ctx.fsum(terms)
+        if k % p:
+            c = ramanujan_sum(k, n)
+            if c:
+                total += (legendre_symbol(k, p) * c << W) // k ** (1 + s)
+    partial = ctx.make_mpf(from_man_exp(total, -W, ctx.prec, round_nearest))
     dsum = ctx.fsum(legendre_symbol(d, p) * ctx.mpf(d) ** (-s)
                     for d in divisors(n))
     denom = ctx.fsum(legendre_symbol(j, p)

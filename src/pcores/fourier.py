@@ -16,10 +16,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
-from mpmath.libmp import (fnone, fone, from_man_exp, fzero, mpc_mul,
-                          mpc_mul_mpf, mpf_pos, mpf_sum, round_nearest,
-                          to_float)
+from mpmath.libmp import (from_man_exp, fzero, mpc_abs, mpc_sub, mpf_neg,
+                          round_nearest, to_float)
 
 from .arith import bernoulli_number, bernoulli_poly, is_prime, legendre_symbol
 from .precision import DEFAULT_PRECISION, PrecisionConfig, to_mpf
@@ -44,88 +44,74 @@ def grid_function(k: int, values) -> GridFunction:
     return GridFunction(k=k, samples=tuple(values))
 
 
+def _parts(value) -> tuple:
+    """The raw mpf tuples (real, imaginary) of an mpf or mpc value."""
+    return value._mpc_ if hasattr(value, "_mpc_") else (value._mpf_, fzero)
+
+
+def _integers(parts) -> tuple:
+    """Raw mpf tuples as exact integers times 2^exp, exp the least exponent
+    among the nonzero ones: (exp, integers).  Non-finite values raise
+    ValueError."""
+    parts = list(parts)
+    if any(not part[1] and part != fzero for part in parts):
+        raise ValueError("samples must be finite")
+    exp = min((e for _, man, e, _ in parts if man), default=0)
+    return exp, [(-man if sign else man) << (e - exp) if man else 0
+                 for sign, man, e, _ in parts]
+
+
 @functools.lru_cache(maxsize=None)
 def _roots(ctx, k: int) -> tuple:
-    # raw mpc tuples of e^(-2*pi*i*m/k) for m = 0..k-1, from exact rational
-    # phases; keyed on the context, so each precision gets its own table
-    return tuple(ctx.expjpi(to_mpf(ctx, Fraction(-2 * m, k)))._mpc_
-                 for m in range(k))
-
-
-@functools.lru_cache(maxsize=None)
-def _root_ints(ctx, k: int) -> tuple:
-    # the _roots table as exact integers times 2^exp, exp the least exponent
-    # in the table: (exp, real parts, imaginary parts)
-    parts = [part for root in _roots(ctx, k) for part in root]
-    exp = min(e for _, man, e, _ in parts if man)
-    ints = [(-man if sign else man) << (e - exp) if man else 0
-            for sign, man, e, _ in parts]
-    return exp, ints[0::2], ints[1::2]
+    """e^(-2*pi*i*m/k) for m = 0..k-1 as exact integers times 2^exp:
+    (exp, real parts, imaginary parts).  The roots for m <= k/2 come from
+    exact rational phases at the precision of ctx, and the rest are their
+    conjugates, so the table is exactly conjugate-symmetric."""
+    exp, ints = _integers(
+        part for m in range(k // 2 + 1)
+        for part in ctx.expjpi(to_mpf(ctx, Fraction(-2 * m, k)))._mpc_)
+    real, imag = ints[0::2], ints[1::2]
+    mirror = slice((k - 1) // 2, 0, -1)  # m = k - 1 .. k/2 + 1 from k - m
+    return (exp, tuple(real + real[mirror]),
+            tuple(imag + [-v for v in imag[mirror]]))
 
 
 def dft(g: GridFunction, config: PrecisionConfig = DEFAULT_PRECISION) -> GridFunction:
     """Direct O(k^2) transform; k stays small and precision is the point.
 
-    The k roots of unity are computed once per (precision, k) and cached.
-    Each output is the exact sum of the products samples[j] *
-    roots[j*mu % k], rounded once, computed on mpmath's raw tuples: each
-    product rounded once (mpc_mul for complex samples, mpc_mul_mpf for
-    real ones) and formed once per distinct (j, j*mu % k), the real and
-    imaginary parts summed exactly (mpf_sum without a precision drops a
-    term only a million bits down) and then rounded once.  Every rounding
-    is at the working precision, GUARD_DIGITS beyond the target.
-
-    Real samples of 0 and +-1 multiply nothing: a product with 0 adds
-    nothing to the sum, and one with +-1 is the root itself, exactly.  The
-    +-1 samples' roots, cached once more as integers on the table's least
-    exponent, add up to one exact term per part beside the rounded
-    products.
-
-    ctx.fsum of the products agrees wherever it drops no term.  It drops
-    one lying more than twice the precision below the last bit of its sum
-    so far, which no grid the table checks comes near; at 20 digits the
-    grid (1, 1e-200, -1) gives 1e-200 at mu = 0 here, where fsum drops the
-    1e-200 against the 1 and returns 0.
+    The samples, as ctx.convert gives them at the working precision
+    (GUARD_DIGITS beyond the target), and the roots of unity, cached per
+    (precision, k) by _roots, are exact integers on common exponents.  Each
+    output part is the exact integer sum of samples[j] * roots[j*mu % k],
+    rounded once.  Each root, from its phase rounded to prec bits, is
+    within 3 * 2^-prec of e^(-2*pi*i*m/k), so an output is within
+    3 * 2^-prec * sum_j |samples[j]| of the exact transform of the samples
+    before that one rounding.  For real samples the outputs at mu > k/2 are
+    filled in as the conjugates of those at k - mu, which the
+    conjugate-symmetric roots make bit-identical.  A non-finite sample
+    raises ValueError.
     """
     ctx = config.context()
     prec, k = ctx.prec, g.k
-    roots = _roots(ctx, k)
-    general, plus, minus = [], [], []
-    for j, v in enumerate(map(ctx.convert, g.samples)):
-        if hasattr(v, "_mpc_"):
-            general.append((j, v._mpc_, True))
-        elif v._mpf_ == fone:
-            plus.append(j)
-        elif v._mpf_ == fnone:
-            minus.append(j)
-        elif v._mpf_ != fzero:
-            general.append((j, v._mpf_, False))
-    if plus or minus:
-        exp, real_ints, imag_ints = _root_ints(ctx, k)
-    # j*mu % k runs over the multiples of gcd(j, k): one product for each
-    products = []
-    for j, v, is_complex in general:
-        step = math.gcd(j, k)
-        products.append((j, step, [
-            mpc_mul(v, roots[m], prec, round_nearest) if is_complex
-            else mpc_mul_mpf(roots[m], v, prec, round_nearest)
-            for m in range(0, k, step)]))
+    exp, ints = _integers(part for v in g.samples
+                          for part in _parts(ctx.convert(v)))
+    real, imag = ints[0::2], ints[1::2]
+    root_exp, cos, sin = _roots(ctx, k)
+    exp += root_exp
+    is_real = not any(imag)
     out = []
-    for mu in range(k):
-        real, imag = [], []
-        if plus or minus:
-            up = [j * mu % k for j in plus]
-            down = [j * mu % k for j in minus]
-            for ints, part in ((real_ints, real), (imag_ints, imag)):
-                part.append(from_man_exp(sum(ints[m] for m in up)
-                                         - sum(ints[m] for m in down), exp))
-        for j, step, row in products:
-            re, im = row[j * mu % k // step]
-            real.append(re)
-            imag.append(im)
-        out.append(ctx.make_mpc((mpf_pos(mpf_sum(real), prec, round_nearest),
-                                 mpf_pos(mpf_sum(imag), prec, round_nearest))))
-    return GridFunction(k=k, samples=tuple(out))
+    for mu in range(k // 2 + 1 if is_real else k):
+        index = [j * mu % k for j in range(k)]
+        c, s = [cos[m] for m in index], [sin[m] for m in index]
+        re, im = sum(map(mul, real, c)), sum(map(mul, real, s))
+        if not is_real:
+            re -= sum(map(mul, imag, s))
+            im += sum(map(mul, imag, c))
+        out.append((from_man_exp(re, exp, prec, round_nearest),
+                    from_man_exp(im, exp, prec, round_nearest)))
+    if is_real:
+        out += [(re, mpf_neg(im)) for re, im in out[(k - 1) // 2:0:-1]]
+    return GridFunction(k=k, samples=tuple(map(ctx.make_mpc, out)))
 
 
 def inner_product(f: GridFunction, g: GridFunction,
@@ -150,9 +136,9 @@ class DftReport:
     passed: bool
 
 
-def _max_abs(values) -> float:
-    """max(float(abs(v))) over mpc values v, with a working-precision abs
-    only where the maximum can be.
+def _max_abs(ctx, values) -> float:
+    """max(float(abs(v))) over raw mpc tuples v, with a working-precision
+    abs only where the maximum can be.
 
     hypot of the parts cut to doubles is within a few units in the last
     place of float(abs(v)), so no entry whose estimate falls below the
@@ -160,19 +146,22 @@ def _max_abs(values) -> float:
     true where doubles lose relative precision.
     """
     values = list(values)
-    estimates = [math.hypot(to_float(re), to_float(im))
-                 for re, im in (v._mpc_ for v in values)]
+    estimates = [math.hypot(to_float(re), to_float(im)) for re, im in values]
     cut = max(estimates) * (1 - 1e-9) - 1e-300
-    return max(float(abs(v)) for v, estimate in zip(values, estimates)
+    return max(to_float(mpc_abs(v, ctx.prec, round_nearest), rnd=round_nearest)
+               for v, estimate in zip(values, estimates)
                if not estimate < cut)
 
 
 def _row(name: str, k: int, parameters: dict, samples, expected,
          config: PrecisionConfig) -> DftReport:
     """Transform the grid of samples and compare it, index by index, with
-    the closed-form values."""
+    the closed-form values; each difference is rounded once at the working
+    precision, as the mpmath subtraction rounds it."""
+    ctx = config.context()
     transform = dft(grid_function(k, samples), config).samples
-    worst = _max_abs(t - e for t, e in zip(transform, expected))
+    worst = _max_abs(ctx, (mpc_sub(t._mpc_, _parts(e), ctx.prec, round_nearest)
+                           for t, e in zip(transform, expected)))
     tol = 10.0 ** -(config.decimal_digits - 15)
     return DftReport(name=name, k=k, parameters=parameters,
                      max_deviation=worst, tolerance=tol, passed=worst <= tol)
@@ -308,8 +297,9 @@ def verify_transform_table(kmax: int = 13, rmax: int = 6, smax: int = 6,
         report.parseval_max = max(report.parseval_max, float(abs(lhs - rhs)))
     for i, f in enumerate(pool[:10]):
         double = dft(hats[i] if i in hats else dft(f, config), config)
-        dev = _max_abs(double.samples[j] - f.k * ctx.convert(f.samples[-j % f.k])
-                       for j in range(f.k))
+        dev = _max_abs(ctx, (
+            (double.samples[j] - f.k * ctx.convert(f.samples[-j % f.k]))._mpc_
+            for j in range(f.k)))
         report.involution_max = max(report.involution_max, dev)
     report.passed = (not report.failed_rows
                      and report.parseval_max <= report.grid_tolerance

@@ -13,9 +13,9 @@ import functools
 import math
 from fractions import Fraction
 
-from mpmath.libmp import (finf, fone, from_int, fzero, mpf_abs, mpf_add,
-                          mpf_div, mpf_gt, mpf_lt, mpf_mul, mpf_neg,
-                          mpf_pow_int, mpf_rdiv_int, mpf_sum, round_nearest)
+from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_abs,
+                          mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_neg,
+                          round_nearest)
 
 from .arith import bernoulli_number, bernoulli_poly
 from .precision import (DEFAULT_PRECISION, GUARD_DIGITS, PrecisionConfig,
@@ -71,22 +71,10 @@ def cot_derivative(r: int, q, config: PrecisionConfig = DEFAULT_PRECISION):
     return val if r % 2 == 0 else -val
 
 
-def _hurwitz_head(ctx, s: int, a: Fraction, terms: int):
-    """sum_{n<terms} (n + a)^(-s) for integer s, on mpmath's raw tuples with
-    the roundings of fsum(to_mpf(ctx, n + a) ** -s): (n*q + p)/q rounded
-    once, each power rounded once, the sum exact and rounded once."""
-    prec, p, q = ctx.prec, a.numerator, a.denominator
-    den = from_int(q)
-    return ctx.make_mpf(mpf_sum(
-        [mpf_pow_int(mpf_div(from_int(n * q + p), den, prec, round_nearest),
-                     -s, prec, round_nearest) for n in range(terms)],
-        prec, round_nearest))
-
-
 @functools.lru_cache(maxsize=None)
-def _euler_maclaurin_coefficient(ctx, j: int):
-    """B_{2j}/(2j)! as a raw mpf, rounded once at the precision of ctx."""
-    return to_mpf(ctx, bernoulli_number(2 * j) / math.factorial(2 * j))._mpf_
+def _euler_maclaurin_coefficient(j: int) -> Fraction:
+    """B_{2j}/(2j)!, exactly."""
+    return bernoulli_number(2 * j) / math.factorial(2 * j)
 
 
 def hurwitz_zeta(s: int, a, config: PrecisionConfig = DEFAULT_PRECISION):
@@ -116,50 +104,52 @@ def _hurwitz_zeta(s: int, a: Fraction, config: PrecisionConfig):
     10^-(decimal_digits+5).  With this M the series terms decrease well past
     the cut, so the stopping rule is an honest error bound.
 
-    Everything runs at the working precision, GUARD_DIGITS beyond
-    decimal_digits, on mpmath's raw tuples.  The head (_hurwitz_head) has
-    the roundings the mpf expression fsum((n + a) ** -s) makes.  The tail
-    makes one libmp call (mpf_add, mpf_mul, mpf_pow_int and so on), rounded
-    to nearest, wherever the mpf operator form of the formula above rounds,
-    in the same order; its integer factors s - 1 and (s + 2j - 1)(s + 2j)
-    are exact.  The tail's B_{2j}/(2j)! are rounded once per (precision, j)
-    and cached.
+    Each term is an exact rational in p, q and M, where a = p/q: the head's
+    (n + a)^(-s) is q^s/(nq + p)^s and x = (Mq + p)/q.  Each is cut once to
+    an integer multiple of 2^-W, W = prec + bit_length(8M) + 4 for the
+    working precision prec; the stopping rule and the stall check compare
+    those integers, which are summed exactly, and the sum is rounded once
+    to prec bits.  The stall check ends the tail before j passes 5M, so at
+    most 8M cuts, each under 2^-W, leave the sum within 2^-(prec+4) of the
+    truncated formula: under a sixteenth of the last bit of
+    zeta(s, a) >= 1, before its one rounding.
     """
     ctx = config.context()
-    prec, rnd = ctx.prec, round_nearest
-    M = max(2 * s, config.decimal_digits)
-    total = _hurwitz_head(ctx, s, a, M)._mpf_
-    x = to_mpf(ctx, M + a)._mpf_
+    prec, digits = ctx.prec, config.decimal_digits
+    M = max(2 * s, digits)
+    W = prec + (8 * M).bit_length() + 4
+    p, q = a.numerator, a.denominator
+    X = M * q + p  # x = X/q
+    scaled = q ** s << W
+    total = sum(scaled // (n * q + p) ** s for n in range(M))
     # x^(1-s)/(s-1) + x^(-s)/2
-    total = mpf_add(total, mpf_div(mpf_pow_int(x, 1 - s, prec, rnd),
-                                   from_int(s - 1), prec, rnd), prec, rnd)
-    total = mpf_add(total, mpf_div(mpf_pow_int(x, -s, prec, rnd), from_int(2),
-                                   prec, rnd), prec, rnd)
-    eps = mpf_pow_int(from_int(10), -(config.decimal_digits + 5), prec, rnd)
-    rising = from_int(s)  # s(s+1)...(s+2j-2), starting at j = 1
-    xpow = mpf_pow_int(x, -s - 1, prec, rnd)
-    inv_x2 = mpf_rdiv_int(1, mpf_mul(x, x, prec, rnd), prec, rnd)
-    previous = finf
+    total += (q ** (s - 1) << W) // ((s - 1) * X ** (s - 1))
+    total += scaled // (2 * X ** s)
+    cut = (1 << W) // 10 ** (digits + 5)
+    rising = s  # s(s+1)...(s+2j-2), starting at j = 1
+    num, den = q ** (s + 1), X ** (s + 1)  # x^(-s-2j+1) = num/den
+    previous = math.inf
     j = 1
     while True:
-        term = mpf_mul(mpf_mul(_euler_maclaurin_coefficient(ctx, j), rising,
-                               prec, rnd), xpow, prec, rnd)
-        total = mpf_add(total, term, prec, rnd)
-        size = mpf_abs(term)
-        if mpf_lt(size, eps):
+        coefficient = _euler_maclaurin_coefficient(j)
+        term = ((coefficient.numerator * rising * num << W)
+                // (coefficient.denominator * den))
+        total += term
+        size = abs(term)
+        if size < cut:
             break
-        if mpf_gt(size, previous):
+        if size > previous:
             # asymptotic tail started diverging before reaching the target
+            size = ctx.make_mpf(from_man_exp(size, -W))
             raise PrecisionError(
                 f"Euler-Maclaurin tail for zeta({s}, {a}) stalled at "
-                f"term size {ctx.nstr(ctx.make_mpf(size), 5)}"
+                f"term size {ctx.nstr(size, 5)}"
             )
         previous = size
-        rising = mpf_mul(rising, from_int((s + 2 * j - 1) * (s + 2 * j)),
-                         prec, rnd)
-        xpow = mpf_mul(xpow, inv_x2, prec, rnd)
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+        num, den = num * q * q, den * X * X
         j += 1
-    return ctx.make_mpf(total)
+    return ctx.make_mpf(from_man_exp(total, -W, prec, round_nearest))
 
 
 hurwitz_zeta.cache_info = _hurwitz_zeta.cache_info

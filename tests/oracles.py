@@ -1,13 +1,16 @@
 """Reference expansions for the tests: truncated integer power series with
 their algebra, Euler's product and the partition generating function, two
 counts of p-cores that share nothing with the series engine (hook lengths
-and lattice points), the partition product evaluated numerically, and the
-mpmath-number expressions that the library's raw-tuple loops replace.
+and lattice points), the partition product evaluated numerically, the
+mpmath-number expressions that the library's raw-tuple loops replace, and
+exact rational evaluations of the formulas that the library sums in fixed
+point.
 
 The library returns plain coefficient tuples; these oracles share no code
 with it, so products formed here check its coefficients independently.
 The mpmath expressions round exactly where the raw-tuple code does, so the
-library must match them bit for bit.
+library must match them bit for bit; the exact evaluations bound or pin
+the library's one final rounding.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import mpmath
 
 
 @dataclass(frozen=True)
@@ -193,63 +198,62 @@ def partition_product(ctx, x, factors: int):
     return +value
 
 
-def hurwitz_head(ctx, s, a, terms: int):
-    """sum_{n<terms} (n + a)^(-s) as fsum of mpf powers, each n + a one
-    correctly rounded quotient; s is an int or a Fraction."""
-    s, a = Fraction(s), Fraction(a)
-    exponent = -ctx.fdiv(s.numerator, s.denominator)
-    return ctx.fsum(ctx.fdiv(n * a.denominator + a.numerator, a.denominator)
-                    ** exponent for n in range(terms))
-
-
-def dft_by_fsum(ctx, samples) -> list:
-    """fhat(mu) = sum_j f_j e^(-2*pi*i*j*mu/k) as ctx.fsum of mpmath
-    products, the roots from correctly rounded rational phases.  This is
-    fourier.dft bit for bit wherever neither sum drops a term far below
-    its running total."""
-    k = len(samples)
-    roots = [ctx.expjpi(ctx.fdiv(-2 * m, k)) for m in range(k)]
-    values = [ctx.convert(v) for v in samples]
-    return [ctx.fsum(values[j] * roots[j * mu % k] for j in range(k))
-            for mu in range(k)]
-
-
-def euler_maclaurin_tail(ctx, total, s, a, digits: int):
-    """total plus the Euler-Maclaurin tail of zeta(s, a) past the
-    M = max(2*ceil(s), digits) head terms, as mpf expressions,
+def hurwitz_zeta_formula(s: int, a, digits: int) -> Fraction:
+    """The truncated formula for zeta(s, a) as an exact rational: the head
+    sum_{n<M} (n + a)^(-s) over M = max(2s, digits) terms, then the
+    Euler-Maclaurin tail
         x^(1-s)/(s-1) + x^(-s)/2
           + sum_j B_{2j}/(2j)! * s(s+1)...(s+2j-2) * x^(-s-2j+1)
-    at x = M + a, each term added to total in turn, up to the first
-    correction below 10^-(digits+5); each B_{2j}/(2j)! is one correctly
-    rounded quotient of mpmath's bernfrac."""
-    s, a = Fraction(s), Fraction(a)
-    sm = ctx.fdiv(s.numerator, s.denominator)
-    M = max(2 * math.ceil(s), digits)
-    x = ctx.fdiv(M * a.denominator + a.numerator, a.denominator)
-    total += x ** (1 - sm) / (sm - 1)
-    total += x ** (-sm) / 2
-    eps = ctx.mpf(10) ** -(digits + 5)
-    rising = sm
-    xpow = x ** (-sm - 1)
-    inv_x2 = 1 / (x * x)
+    at x = M + a, up to and including the first correction below
+    10^-(digits+5), each B_{2j} from mpmath's bernfrac."""
+    a = Fraction(a)
+    M = max(2 * s, digits)
+    x = M + a
+    total = sum(1 / (n + a) ** s for n in range(M))
+    total += 1 / ((s - 1) * x ** (s - 1)) + 1 / (2 * x ** s)
+    eps = Fraction(1, 10 ** (digits + 5))
+    rising = s
     j = 1
     while True:
-        p, q = ctx.bernfrac(2 * j)
-        term = ctx.fdiv(p, q * math.factorial(2 * j)) * rising * xpow
+        p, q = mpmath.bernfrac(2 * j)
+        term = Fraction(p * rising, q * math.factorial(2 * j)) \
+            / x ** (s + 2 * j - 1)
         total += term
         if abs(term) < eps:
-            return +total
-        rising *= (sm + 2 * j - 1) * (sm + 2 * j)
-        xpow *= inv_x2
+            return total
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
         j += 1
 
 
-def hurwitz_zeta_by_mpf(ctx, s, a, digits: int):
-    """zeta(s, a) as hurwitz_head over max(2*ceil(s), digits) terms, then
-    euler_maclaurin_tail."""
-    terms = max(2 * math.ceil(Fraction(s)), digits)
-    return euler_maclaurin_tail(ctx, hurwitz_head(ctx, s, a, terms), s, a,
-                                digits)
+def dft_exact(ctx, samples) -> list:
+    """fhat(mu) = sum_j f_j e^(-2*pi*i*j*mu/k) with each part the exact
+    rational sum of the products, rounded once to the precision of ctx.
+    The samples are ctx.convert's values, and the roots are ctx.expjpi of
+    the correctly rounded phases -2m/k for m <= k/2 and the conjugates of
+    those for the rest."""
+    k = len(samples)
+    half = [ctx.expjpi(ctx.fdiv(-2 * m, k)) for m in range(k // 2 + 1)]
+    roots = half + [ctx.conj(r) for r in half[(k - 1) // 2:0:-1]]
+    roots = [(exact(r.real), exact(r.imag)) for r in roots]
+    values = [ctx.mpc(ctx.convert(v)) for v in samples]
+    values = [(exact(v.real), exact(v.imag)) for v in values]
+    out = []
+    for mu in range(k):
+        terms = [(v, roots[j * mu % k]) for j, v in enumerate(values)]
+        re = (sum(x * c for (x, _), (c, _) in terms if x)
+              - sum(y * s for (_, y), (_, s) in terms if y))
+        im = (sum(x * s for (x, _), (_, s) in terms if x)
+              + sum(y * c for (_, y), (c, _) in terms if y))
+        re, im = Fraction(re), Fraction(im)
+        out.append(ctx.mpc(ctx.fdiv(re.numerator, re.denominator),
+                           ctx.fdiv(im.numerator, im.denominator)))
+    return out
+
+
+def exact(value) -> Fraction:
+    """An mpf as the exact rational it holds."""
+    sign, man, exp, _ = value._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
 
 
 def log_series_by_mpf(ctx, high, s: int) -> tuple:

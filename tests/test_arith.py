@@ -38,6 +38,22 @@ class TestMobius:
             total = sum(mobius(d) for d in divisors(n))
             assert total == (1 if n == 1 else 0)
 
+    def test_matches_trial_division(self):
+        # the sieve against factorization by trial division, across the
+        # power-of-two sizes of the sieve's tables
+        def by_trial_division(m):
+            result, d = 1, 2
+            while d * d <= m:
+                if m % d == 0:
+                    m //= d
+                    if m % d == 0:
+                        return 0
+                    result = -result
+                d += 1
+            return -result if m > 1 else result
+
+        assert all(mobius(m) == by_trial_division(m) for m in range(1, 5000))
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             mobius(0)

@@ -15,7 +15,8 @@ from pcores.asympt import (approx_divisor_sum, approx_singular_series,
                            verify_quadratic_trig_identity,
                            verify_ramanujan_identity)
 import pcores.asympt as asympt
-from pcores.arith import divisors, is_prime
+from oracles import exact
+from pcores.arith import divisors, is_prime, legendre_symbol, ramanujan_sum
 from pcores.precision import (DEFAULT_PRECISION, PrecisionConfig,
                               VerificationError, to_mpf)
 from pcores.series import pcore_count
@@ -302,6 +303,23 @@ class TestDirichletSeries:
     def test_s3(self):
         report = verify_dirichlet_series(7, 3, 12, 1500)
         assert report.passed
+
+    @pytest.mark.parametrize("digits", [20, 60, 100])
+    def test_partial_sum_within_bound_of_exact_sum(self, digits):
+        # the fixed-point sum is within 2^-(prec+4) of the exact partial
+        # sum, and is then rounded once: half a unit in the last place
+        config = PrecisionConfig(digits)
+        prec = config.context().prec
+        for p, s, n in ((5, 2, 6), (7, 3, 12), (29, 3, 1), (13, 4, 30)):
+            partial = verify_dirichlet_series(p, s, n, 200, config).partial_sum
+            _, _, exp, bc = partial._mpf_
+            half_ulp = Fraction(2) ** (exp + bc - prec - 1)
+            expected = sum(
+                Fraction(legendre_symbol(k, p) * ramanujan_sum(k, n),
+                         k ** (1 + s))
+                for k in range(1, 201) if k % p)
+            assert (abs(exact(partial) - expected)
+                    <= Fraction(1, 2 ** (prec + 4)) + half_ulp)
 
     def test_domain(self):
         with pytest.raises(ValueError):

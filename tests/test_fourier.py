@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dft_by_fsum, max_deviation
+from oracles import dft_exact, max_deviation
 from pcores.arith import bernoulli_poly, is_prime, legendre_symbol
-from pcores.fourier import (_max_abs, _row, check_bernoulli_row,
+from pcores.fourier import (_max_abs, _roots, _row, check_bernoulli_row,
                             check_legendre_row, check_zeta_row, dft,
                             grid_function, inner_product,
                             verify_transform_table)
-from pcores.precision import DEFAULT_PRECISION, PrecisionConfig, to_mpf
+from pcores.precision import DEFAULT_PRECISION, PrecisionConfig
 from pcores.special import (_folded_periodic_zeta, cot_derivative,
                             hurwitz_zeta, periodic_zeta)
 
@@ -49,16 +49,15 @@ class TestDft:
         assert all(abs(x - y) < 1e-55 for x, y in zip(lhs, rhs))
 
     @pytest.mark.parametrize("digits", [20, 60, 100])
-    def test_matches_fsum_expression(self, digits):
-        # the raw-tuple transform rounds where fsum(sample * root) does, on
+    def test_matches_exact_oracle(self, digits):
+        # each part is the exact sum of sample * root, rounded once, on
         # real and complex grids and on a transform of a transform, at
-        # prime and composite k (where gcd(j, k) > 1 products are reused);
-        # the samples 0 and +-1 take the exact integer path, alone or
-        # mixed with general reals
+        # prime and composite k, on the Legendre rows, and on real grids
+        # whose upper half is filled in by conjugation
         config = PrecisionConfig(digits)
         ctx = config.context()
         rng = random.Random(digits)
-        for k in (2, 5, 12, 13, 32):
+        for k in (1, 2, 5, 12, 13, 32):
             real = [ctx.mpf(rng.uniform(-1, 1)) for _ in range(k)]
             exact = [bernoulli_poly(3, Fraction(j, k)) for j in range(k)]
             plain = [rng.randint(-5, 5) for _ in range(k)]
@@ -69,38 +68,47 @@ class TestDft:
                      for j in range(k)]
             for samples in (real, exact, plain, complex_, units, mixed):
                 hat = dft(grid_function(k, samples), config).samples
-                expected = dft_by_fsum(ctx, samples)
+                expected = dft_exact(ctx, samples)
                 assert [v._mpc_ for v in hat] == [v._mpc_ for v in expected]
                 double = dft(grid_function(k, hat), config).samples
                 assert ([v._mpc_ for v in double]
-                        == [v._mpc_ for v in dft_by_fsum(ctx, expected)])
+                        == [v._mpc_ for v in dft_exact(ctx, expected)])
         for p in filter(is_prime, range(3, 98)):
             symbols = [legendre_symbol(j, p) for j in range(p)]
             hat = dft(grid_function(p, symbols), config).samples
             assert ([v._mpc_ for v in hat]
-                    == [v._mpc_ for v in dft_by_fsum(ctx, symbols)])
+                    == [v._mpc_ for v in dft_exact(ctx, symbols)])
 
     def test_sums_are_exact_then_rounded_once(self):
-        # each output is the exact sum of the rounded products, rounded
-        # once; fsum, adding in j order, drops the 1e-200 against the 1 at
-        # mu = 0, and at mu = 2, where it would break a tie in the last bit
+        # nothing is rounded before the sum: at mu = 0 the 1 and the -1
+        # cancel exactly and leave the 1e-200, which a sum of products
+        # rounded at 20 digits would lose
         config = PrecisionConfig(20)
         ctx = config.context()
         samples = [1, ctx.mpf(10) ** -200, -1]
-        roots = [ctx.expjpi(ctx.fdiv(-2 * m, 3)) for m in range(3)]
-
-        def exact(part):
-            sign, man, exp, _ = part
-            return (-1) ** sign * man * Fraction(2) ** exp
-
         hat = dft(grid_function(3, samples), config).samples
-        for mu in range(3):
-            products = [v * roots[j * mu % 3] for j, v in enumerate(samples)]
-            sums = [sum(exact(p._mpc_[i]) for p in products) for i in (0, 1)]
-            assert hat[mu]._mpc_ == tuple(to_mpf(ctx, s)._mpf_ for s in sums)
-        fsum = dft_by_fsum(ctx, samples)
-        assert hat[0] == samples[1] and fsum[0] == 0
-        assert fsum[2].real == 1.5 != hat[2].real
+        assert [v._mpc_ for v in hat] == [v._mpc_
+                                          for v in dft_exact(ctx, samples)]
+        assert hat[0] == samples[1]
+
+    def test_roots_are_conjugate_symmetric(self):
+        # root k - m is exactly the conjugate of root m, and the roots at
+        # m = 0 and m = k/2 are exactly real
+        for digits in (20, 60):
+            ctx = PrecisionConfig(digits).context()
+            for k in range(1, 41):
+                _, real, imag = _roots(ctx, k)
+                assert len(real) == len(imag) == k
+                for m in range(k):
+                    assert real[-m % k] == real[m]
+                    assert imag[-m % k] == -imag[m]
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_rejects_non_finite_samples(self, bad):
+        ctx = DEFAULT_PRECISION.context()
+        for samples in ([1, ctx.mpf(bad), 0], [ctx.mpc(0, bad), 1]):
+            with pytest.raises(ValueError, match="finite"):
+                dft(grid_function(len(samples), samples))
 
     def test_roots_are_keyed_on_precision(self):
         # a 100-digit row after a 40-digit one must not reuse 40-digit roots
@@ -113,7 +121,9 @@ class TestMaxAbs:
 
     @staticmethod
     def both(transform, expected):
-        return (_max_abs(t - e for t, e in zip(transform, expected)),
+        ctx = DEFAULT_PRECISION.context()
+        return (_max_abs(ctx, ((t - e)._mpc_
+                               for t, e in zip(transform, expected))),
                 max_deviation(transform, expected))
 
     def test_all_zero_deviations(self):
@@ -208,6 +218,12 @@ class TestLegendreRows:
     def test_p7_imaginary_gauss_sum(self):
         report = check_legendre_row(7)
         assert report.passed and report.max_deviation < 1e-45
+
+    def test_primality_checked_once_per_row(self):
+        # the row's 97 Legendre symbols run Miller-Rabin on 97 once
+        is_prime.cache_clear()
+        check_legendre_row(97)
+        assert is_prime.cache_info().misses == 1
 
     def test_all_odd_primes_to_97(self):
         for p in (3, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,

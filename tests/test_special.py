@@ -9,16 +9,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pcores.special
-from oracles import (euler_maclaurin_tail, hurwitz_head, hurwitz_zeta_by_mpf,
-                     log_series_by_mpf, periodic_zeta_by_mpf)
+from oracles import (exact, hurwitz_zeta_formula, log_series_by_mpf,
+                     periodic_zeta_by_mpf)
 from pcores.precision import (DEFAULT_PRECISION, GUARD_DIGITS,
-                              PrecisionConfig, PrecisionError, _context,
-                              to_mpf)
-from pcores.special import (_hurwitz_head, _log_series, cot_derivative,
-                            cot_polynomial, hurwitz_zeta, hurwitz_zeta_neg,
-                            periodic_zeta)
+                              PrecisionConfig, PrecisionError, _context)
+from pcores.special import (_log_series, cot_derivative, cot_polynomial,
+                            hurwitz_zeta, hurwitz_zeta_neg, periodic_zeta)
 
 HIGH = PrecisionConfig.for_digits(80)
+
+# (s, a) for the Hurwitz zeta checks: s in 2, 3, 5, 8, 13, 30 at every a
+# in (0, 1] with denominator <= 6, and the s = 29, a = j/59 that the
+# leading constant for p = 59 sums
+_ZETA_CASES = (
+    [(s, Fraction(h, q)) for s in (2, 3, 5, 8, 13, 30)
+     for q in range(1, 7) for h in range(1, q + 1) if math.gcd(h, q) == 1]
+    + [(29, Fraction(j, 59)) for j in range(1, 60)])
 
 
 @pytest.fixture
@@ -161,39 +167,34 @@ class TestHurwitzZeta:
                 assert abs(total - expected) < 1e-55
 
     @pytest.mark.parametrize("digits", [20, 60, 100])
-    def test_head_matches_mpf_expression(self, digits):
-        # the raw-tuple head rounds where fsum((n + a) ** -s) does
-        ctx = PrecisionConfig(digits).context()
-        for s in (2, 3, 5, 8, 13, 30):
-            for a in {Fraction(h, q) for q in range(1, 8) for h in range(1, q + 1)}:
-                assert (_hurwitz_head(ctx, s, a, digits)._mpf_
-                        == hurwitz_head(ctx, s, a, digits)._mpf_)
+    def test_within_bound_of_exact_formula(self, digits):
+        # the fixed-point sum is within 2^-(prec+4) of the exact truncated
+        # formula, and is then rounded once: half a unit in the last place
+        config = PrecisionConfig(digits)
+        prec = config.context().prec
+        for s, a in _ZETA_CASES:
+            value = hurwitz_zeta(s, a, config)
+            _, _, exp, bc = value._mpf_
+            half_ulp = Fraction(2) ** (exp + bc - prec - 1)
+            error = abs(exact(value) - hurwitz_zeta_formula(s, a, digits))
+            assert error <= Fraction(1, 2 ** (prec + 4)) + half_ulp
 
     @pytest.mark.parametrize("digits", [20, 60, 100])
-    def test_matches_mpf_expression(self, digits, patch_special):
-        # the raw-tuple tail rounds where the mpf operators of the formula
-        # do: after the head, and from a zero head, where a rounding the
-        # head would swamp shows in the last bit
+    def test_against_mpmath_at_more_digits(self, digits):
         config = PrecisionConfig(digits)
-        ctx = config.context()
-        cases = [(s, a) for s in (2, 3, 6)
-                 for a in {Fraction(h, q) for q in range(1, 7)
-                           for h in range(1, q + 1)}]
-        for s, a in cases:
-            assert (hurwitz_zeta(s, a, config)._mpf_
-                    == hurwitz_zeta_by_mpf(ctx, s, a, digits)._mpf_)
-        patch_special("_hurwitz_head", lambda ctx, s, a, terms: ctx.zero)
-        for s, a in cases:
-            assert (hurwitz_zeta(s, a, config)._mpf_
-                    == euler_maclaurin_tail(ctx, ctx.zero, s, a, digits)._mpf_)
+        ref = mpmath.mp.clone()
+        ref.dps = digits + 40
+        for s, a in _ZETA_CASES:
+            reference = ref.zeta(s, ref.mpf(a.numerator) / a.denominator)
+            value = ref.mpf(hurwitz_zeta(s, a, config))
+            assert abs(value - reference) <= ref.mpf(10) ** -(digits + 4) \
+                * reference
 
     def test_stalled_tail_raises_precision_error(self, patch_special):
         # coefficients that grow make the corrections grow: the tail must
         # stop with a PrecisionError, not return a value
-        def growing(ctx, j):
-            return to_mpf(ctx, 10 ** (40 * j))._mpf_
-
-        patch_special("_euler_maclaurin_coefficient", growing)
+        patch_special("_euler_maclaurin_coefficient",
+                      lambda j: Fraction(10 ** (40 * j)))
         with pytest.raises(PrecisionError,
                            match=r"zeta\(2, 1/3\) stalled at term size"):
             hurwitz_zeta(2, Fraction(1, 3))
