@@ -11,7 +11,7 @@ import functools
 import threading
 from fractions import Fraction
 from itertools import compress
-from math import comb, gcd, isqrt
+from math import comb, factorial, gcd, isqrt
 
 # Deterministic Miller-Rabin witness set for n < 3.3e24 — far beyond any
 # modulus used here.
@@ -125,27 +125,36 @@ def ramanujan_sum(k: int, n: int) -> int:
 
 
 _bernoulli_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+# T_j^(k) for k = 1..j, the tangent-number column behind the last B_2j cached
+_tangents: list[int] = []
 _bernoulli_lock = threading.Lock()
 
 
 def bernoulli_number(n: int) -> Fraction:
-    """B_n with the convention B_1 = -1/2 (so B_n(0) = B_n for all n)."""
+    """B_n with the convention B_1 = -1/2 (so B_n(0) = B_n for all n).
+
+    B_2j = (-1)^(j-1) * 2j * T_j / (4^j * (4^j - 1)) from the tangent number
+    T_j = T_j^(j) of Brent and Harvey's integer recurrence (arXiv:1108.0286,
+    TangentNumbers), taken one column j at a time: T_j^(1) = (j-1)! and
+    T_j^(k) = (j-k) * T_(j-1)^(k) + (j-k+2) * T_j^(k-1) for k = 2..j.
+    """
     if n < 0:
         raise ValueError("bernoulli_number requires n >= 0")
     if n >= len(_bernoulli_cache):
         with _bernoulli_lock:
             # Re-check under the lock; another thread may have extended it.
-            m = len(_bernoulli_cache)
-            while m <= n:
-                if m % 2 == 1:
-                    b = Fraction(0)
-                else:
-                    acc = Fraction(0)
-                    for j in range(m):
-                        acc += comb(m + 1, j) * _bernoulli_cache[j]
-                    b = -acc / (m + 1)
-                _bernoulli_cache.append(b)
-                m += 1
+            while n >= len(_bernoulli_cache):
+                j = len(_tangents) + 1
+                t = factorial(j - 1)
+                column = [t]
+                for k, above in zip(range(2, j + 1), _tangents[1:] + [0]):
+                    t = (j - k) * above + (j - k + 2) * t
+                    column.append(t)
+                _tangents[:] = column
+                power = 4 ** j
+                _bernoulli_cache.extend((
+                    Fraction((-1) ** (j - 1) * 2 * j * t, power * (power - 1)),
+                    Fraction(0)))
     return _bernoulli_cache[n]
 
 

@@ -11,9 +11,9 @@ identities tying all of these together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from mpmath.libmp import from_man_exp, round_nearest
 
@@ -111,8 +111,7 @@ def singular_term(p: int, k: int, n: int,
     return value / math.factorial(half - 1)
 
 
-@dataclass
-class ApproxReport:
+class ApproxReport(NamedTuple):
     """An asymptotic estimate next to the exact count, when available."""
 
     p: int
@@ -126,14 +125,15 @@ class ApproxReport:
     constant: int | None = None
 
 
-def _attach_exact(report: ApproxReport, config: PrecisionConfig) -> None:
+def _with_exact(report: ApproxReport, config: PrecisionConfig) -> ApproxReport:
     if report.n > _EXACT_CUTOFF:
-        return
-    report.exact = pcore_count(report.p, report.n)
-    if report.exact:
-        ctx = config.context()
-        gap = abs(ctx.convert(report.estimate) - report.exact)
-        report.relative_error = float(gap / report.exact)
+        return report
+    exact = pcore_count(report.p, report.n)
+    relative_error = None
+    if exact:
+        gap = abs(config.context().convert(report.estimate) - exact)
+        relative_error = float(gap / exact)
+    return report._replace(exact=exact, relative_error=relative_error)
 
 
 def approx_singular_series(p: int, n: int, kmax: int,
@@ -155,9 +155,7 @@ def approx_singular_series(p: int, n: int, kmax: int,
         if k % p:
             total += singular_term(p, k, n, config)
     report = ApproxReport(p=p, n=n, method="singular", estimate=total, kmax=kmax)
-    if with_exact:
-        _attach_exact(report, config)
-    return report
+    return _with_exact(report, config) if with_exact else report
 
 
 def approx_divisor_sum(p: int, n: int,
@@ -183,9 +181,7 @@ def approx_divisor_sum(p: int, n: int,
     estimate = to_mpf(ctx, Fraction(total, constant))
     report = ApproxReport(p=p, n=n, method="divisor", estimate=estimate,
                           divisor_sum=total, constant=constant)
-    if with_exact:
-        _attach_exact(report, config)
-    return report
+    return _with_exact(report, config) if with_exact else report
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +241,7 @@ def _certified_constant(p: int, exact: Fraction) -> int:
     return constant
 
 
-@dataclass
-class CpReport:
+class CpReport(NamedTuple):
     """All applicable leading-constant formulas reconciled to one integer."""
 
     p: int
@@ -395,8 +390,7 @@ def class_number(p: int, method: str = "all",
 # ---------------------------------------------------------------------------
 # identity verification sweeps
 
-@dataclass
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     """Result of an exhaustive parameter sweep of one identity."""
 
     name: str
@@ -471,8 +465,7 @@ def verify_dedekind_parity(p: int, kmax: int) -> ConjectureReport:
         checked=checked, counterexamples=counterexamples, worst_residual=0.0)
 
 
-@dataclass
-class DirichletSeriesReport:
+class DirichletSeriesReport(NamedTuple):
     """Partial Dirichlet series against its closed form, with a tail bound."""
 
     p: int
@@ -532,8 +525,7 @@ def verify_dirichlet_series(p: int, s: int, n: int, kmax: int,
         deviation=deviation, tail_bound=tail, tolerance=tail + 1e-20)
 
 
-@dataclass
-class TransformReport:
+class TransformReport(NamedTuple):
     """Both sides of the transformation and how close they came."""
 
     lhs: object
@@ -607,8 +599,7 @@ def verify_eta_transform(p: int, h: int, k: int, t: float, factors: int = 400,
                            tolerance=_TRANSFORM_TOLERANCE)
 
 
-@dataclass
-class TrigIdentityReport:
+class TrigIdentityReport(NamedTuple):
     """Cotangent side vs Bernoulli side of the quadratic-argument identity."""
 
     r: int
@@ -651,8 +642,7 @@ def verify_quadratic_trig_identity(r: int, p: int,
                               relative_sign=lhs_sign * rhs_sign)
 
 
-@dataclass
-class DivisibilityRow:
+class DivisibilityRow(NamedTuple):
     r: int
     value: Fraction
     is_integer: bool
@@ -662,8 +652,7 @@ class DivisibilityRow:
     divisible: bool | None
 
 
-@dataclass
-class DivisibilityReport:
+class DivisibilityReport(NamedTuple):
     """Integrality and divisibility pattern of the Bernoulli character sums.
 
     Expected pattern: on nonzero integer entries with gcd(p, r+1) = 1 the
@@ -674,15 +663,12 @@ class DivisibilityReport:
 
     p: int
     rmax: int
-    rows: list = field(default_factory=list)
-    first_non_integer: int | None = None
-    expected_first_non_integer: int = 0
-    divisibility_holds: bool = True
-    first_failure_holds: bool | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.divisibility_holds and self.first_failure_holds is not False
+    rows: list
+    first_non_integer: int | None
+    expected_first_non_integer: int
+    divisibility_holds: bool
+    first_failure_holds: bool | None
+    passed: bool
 
 
 def divisibility_scan(p: int, rmax: int) -> DivisibilityReport:
@@ -690,8 +676,10 @@ def divisibility_scan(p: int, rmax: int) -> DivisibilityReport:
     if rmax < 1:
         raise ValueError("rmax must be >= 1")
     exempt_residue = ((p - 3) // 2) % (p - 1)
-    report = DivisibilityReport(
-        p=p, rmax=rmax, expected_first_non_integer=p * (p - 1) // 2 - 1)
+    expected = p * (p - 1) // 2 - 1
+    rows = []
+    first_non_integer = None
+    divisibility_holds = True
     for r in range(1, rmax + 1):
         value = bernoulli_char_sum(r, p)
         is_integer = value.denominator == 1
@@ -700,13 +688,17 @@ def divisibility_scan(p: int, rmax: int) -> DivisibilityReport:
             exempt=r % (p - 1) == exempt_residue,
             coprime=gcd(p, r + 1) == 1,
             divisible=value.numerator % p == 0 if is_integer else None)
-        report.rows.append(row)
-        if not is_integer and report.first_non_integer is None:
-            report.first_non_integer = r
+        rows.append(row)
+        if not is_integer and first_non_integer is None:
+            first_non_integer = r
         if (is_integer and not row.is_zero and row.coprime and not row.exempt
                 and not row.divisible):
-            report.divisibility_holds = False
-    if rmax >= report.expected_first_non_integer:
-        report.first_failure_holds = (
-            report.first_non_integer == report.expected_first_non_integer)
-    return report
+            divisibility_holds = False
+    first_failure_holds = (first_non_integer == expected
+                           if rmax >= expected else None)
+    return DivisibilityReport(
+        p=p, rmax=rmax, rows=rows, first_non_integer=first_non_integer,
+        expected_first_non_integer=expected,
+        divisibility_holds=divisibility_holds,
+        first_failure_holds=first_failure_holds,
+        passed=divisibility_holds and first_failure_holds is not False)

@@ -24,7 +24,6 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from . import cache
 from .arith import is_prime
 from .asympt import (approx_divisor_sum, approx_singular_series,
                      bernoulli_char_sum, class_number, cotangent_char_sum,
@@ -33,7 +32,6 @@ from .asympt import (approx_divisor_sum, approx_singular_series,
                      verify_dirichlet_series, verify_eta_transform,
                      verify_quadratic_trig_identity, verify_ramanujan_identity,
                      VARIANTS, CLASS_NUMBER_METHODS)
-from .fourier import verify_transform_table
 from .precision import (DEFAULT_PRECISION, PrecisionConfig, PrecisionError,
                         VerificationError)
 from .series import pcore_count, pcore_series
@@ -174,6 +172,7 @@ def _eta_transform(args, config):
 
 
 def _fft(args, config):
+    from .fourier import verify_transform_table  # loaded for this row only
     table = verify_transform_table(
         kmax=args.kmax, rmax=args.rmax, smax=args.smax, pmax=args.pmax,
         grids=args.grids, grid_kmax=args.grid_kmax, config=config)
@@ -383,6 +382,7 @@ def _execute(args, config: PrecisionConfig):
     envelope = None
     key = None
     if args.cache:
+        from . import cache  # hashlib is loaded only for --cache
         key = cache.cache_key(command.name, parameters, config.decimal_digits)
         envelope = cache.load(args.cache, key)
     if envelope is None:

@@ -14,9 +14,9 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from mpmath.libmp import (from_man_exp, fzero, mpc_abs, mpc_sub, mpf_neg,
                           round_nearest, to_float)
@@ -26,22 +26,20 @@ from .precision import DEFAULT_PRECISION, PrecisionConfig, to_mpf
 from .special import cot_derivative, hurwitz_zeta, periodic_zeta
 
 
-@dataclass(frozen=True)
-class GridFunction:
+class GridFunction(NamedTuple):
     """Samples f(j/k) for j = 0..k-1."""
 
     k: int
     samples: tuple
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if len(self.samples) != self.k:
-            raise ValueError("need exactly k samples")
-
 
 def grid_function(k: int, values) -> GridFunction:
-    return GridFunction(k=k, samples=tuple(values))
+    samples = tuple(values)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if len(samples) != k:
+        raise ValueError("need exactly k samples")
+    return GridFunction(k=k, samples=samples)
 
 
 def _parts(value) -> tuple:
@@ -124,8 +122,7 @@ def inner_product(f: GridFunction, g: GridFunction,
                     for a, b in zip(f.samples, g.samples))
 
 
-@dataclass
-class DftReport:
+class DftReport(NamedTuple):
     """Outcome of one closed-form transform comparison."""
 
     name: str
@@ -222,24 +219,17 @@ def check_zeta_row(k: int, s: int,
         config)
 
 
-@dataclass
-class TableReport:
+class TableReport(NamedTuple):
     """Aggregate of all table rows plus the Parseval / reflection checks."""
 
-    rows: list = field(default_factory=list)
-    parseval_max: float = 0.0
-    involution_max: float = 0.0
-    grid_tolerance: float = 0.0
-    grids: int = 0
-    passed: bool = False
-
-    @property
-    def max_row_deviation(self) -> float:
-        return max((row.max_deviation for row in self.rows), default=0.0)
-
-    @property
-    def failed_rows(self) -> list:
-        return [row for row in self.rows if not row.passed]
+    rows: list
+    failed_rows: list
+    max_row_deviation: float
+    parseval_max: float
+    involution_max: float
+    grid_tolerance: float
+    grids: int
+    passed: bool
 
 
 # Seed of the random grids, so every table run checks the same grids.
@@ -269,20 +259,21 @@ def verify_transform_table(kmax: int = 13, rmax: int = 6, smax: int = 6,
             ("grid_kmax", grid_kmax, 2)):
         if value < least:  # the family would check nothing
             raise ValueError(f"{name} must be >= {least}")
-    report = TableReport(grid_tolerance=10.0 ** -(config.decimal_digits - 10))
+    tolerance = 10.0 ** -(config.decimal_digits - 10)
+    rows = []
     for k in range(2, kmax + 1):
         for r in range(1, rmax + 1):
-            report.rows.append(check_bernoulli_row(k, r, config))
+            rows.append(check_bernoulli_row(k, r, config))
         for s in range(2, smax + 1):
-            report.rows.append(check_zeta_row(k, s, config))
+            rows.append(check_zeta_row(k, s, config))
     for p in range(3, pmax + 1):
         if is_prime(p):
-            report.rows.append(check_legendre_row(p, config))
+            rows.append(check_legendre_row(p, config))
     ctx = config.context()
     rng = random.Random(_GRID_SEED)
     pool = [_random_grid(ctx, rng, rng.randint(1, grid_kmax))
             for _ in range(grids)]
-    report.grids = len(pool)
+    parseval_max = involution_max = 0.0
     hats = {}  # pool index -> transform, reused by the reflection check
     for i in range(0, len(pool) - 1, 2):
         f, g = pool[i], pool[i + 1]
@@ -294,14 +285,18 @@ def verify_transform_table(kmax: int = 13, rmax: int = 6, smax: int = 6,
             g_hat = dft(g, config)
         lhs = inner_product(hats[i], g_hat, config)
         rhs = f.k * inner_product(f, g, config)
-        report.parseval_max = max(report.parseval_max, float(abs(lhs - rhs)))
+        parseval_max = max(parseval_max, float(abs(lhs - rhs)))
     for i, f in enumerate(pool[:10]):
         double = dft(hats[i] if i in hats else dft(f, config), config)
         dev = _max_abs(ctx, (
             (double.samples[j] - f.k * ctx.convert(f.samples[-j % f.k]))._mpc_
             for j in range(f.k)))
-        report.involution_max = max(report.involution_max, dev)
-    report.passed = (not report.failed_rows
-                     and report.parseval_max <= report.grid_tolerance
-                     and report.involution_max <= report.grid_tolerance)
-    return report
+        involution_max = max(involution_max, dev)
+    failed = [row for row in rows if not row.passed]
+    return TableReport(
+        rows=rows, failed_rows=failed,
+        max_row_deviation=max(row.max_deviation for row in rows),
+        parseval_max=parseval_max, involution_max=involution_max,
+        grid_tolerance=tolerance, grids=len(pool),
+        passed=(not failed and parseval_max <= tolerance
+                and involution_max <= tolerance))

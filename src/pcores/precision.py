@@ -8,8 +8,8 @@ different precision needs never share mutable global state.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 
@@ -26,8 +26,11 @@ class VerificationError(Exception):
 GUARD_DIGITS = 10
 
 
-@dataclass(frozen=True)
-class PrecisionConfig:
+class _PrecisionFields(NamedTuple):
+    decimal_digits: int
+
+
+class PrecisionConfig(_PrecisionFields):
     """How many digits to carry and how eagerly to round to integers.
 
     decimal_digits is the target number of correct decimal digits; the
@@ -37,11 +40,12 @@ class PrecisionConfig:
     precision always resolves.
     """
 
-    decimal_digits: int = 60
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.decimal_digits < 20:
+    def __new__(cls, decimal_digits: int = 60) -> "PrecisionConfig":
+        if decimal_digits < 20:
             raise ValueError("decimal_digits must be at least 20")
+        return super().__new__(cls, decimal_digits)
 
     @classmethod
     def for_digits(cls, decimal_digits: int) -> "PrecisionConfig":
@@ -83,8 +87,7 @@ def to_mpf(ctx, value):
     return ctx.mpf(value)
 
 
-@dataclass(frozen=True)
-class SnappedInteger:
+class SnappedInteger(NamedTuple):
     """A high-precision value resolved to its nearest integer.
 
     ``residual`` is |value - nearest| (complex modulus when the value has

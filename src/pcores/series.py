@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .precision import DEFAULT_PRECISION, PrecisionConfig
 
@@ -65,8 +65,7 @@ def pcore_count(p: int, n: int) -> int:
 PRODUCT_FORMS = ("f", "H")
 
 
-@dataclass(frozen=True)
-class ProductValue:
+class ProductValue(NamedTuple):
     """A partial infinite product and a bound on its relative truncation error."""
 
     value: object

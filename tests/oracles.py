@@ -198,6 +198,16 @@ def partition_product(ctx, x, factors: int):
     return +value
 
 
+def bernoulli_numbers_by_recurrence(nmax: int) -> list[Fraction]:
+    """B_0..B_nmax (B_1 = -1/2) from sum_{j<=m} C(m+1, j) B_j = 0, summed
+    in Fractions."""
+    numbers = [Fraction(1)]
+    for m in range(1, nmax + 1):
+        numbers.append(-sum(math.comb(m + 1, j) * b
+                            for j, b in enumerate(numbers)) / (m + 1))
+    return numbers
+
+
 def hurwitz_zeta_formula(s: int, a, digits: int) -> Fraction:
     """The truncated formula for zeta(s, a) as an exact rational: the head
     sum_{n<M} (n + a)^(-s) over M = max(2s, digits) terms, then the

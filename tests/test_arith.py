@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import bernoulli_numbers_by_recurrence
 from pcores.arith import (bernoulli_number, bernoulli_poly, dedekind_sum,
                           divisors, is_prime, legendre_symbol, mobius,
                           ramanujan_sum, sawtooth)
@@ -214,10 +215,16 @@ class TestBernoulliNumbers:
                 total += Fraction(inner, k + 1)
             assert total == bernoulli_number(n)
 
+    def test_matches_fraction_recurrence(self):
+        # the tangent-number route gives the same Fractions, B_1 = -1/2
+        reference = bernoulli_numbers_by_recurrence(300)
+        assert [bernoulli_number(n) for n in range(301)] == reference
+
     def test_thread_safety_of_cache(self):
         import pcores.arith as arith
         with arith._bernoulli_lock:
             del arith._bernoulli_cache[2:]
+            arith._tangents.clear()
         results = {}
 
         def worker(tag):

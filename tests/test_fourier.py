@@ -110,6 +110,12 @@ class TestDft:
             with pytest.raises(ValueError, match="finite"):
                 dft(grid_function(len(samples), samples))
 
+    @pytest.mark.parametrize("k, samples, message", [
+        (0, [], "k must be >= 1"), (3, [1, 2], "exactly k samples")])
+    def test_grid_function_checks_its_shape(self, k, samples, message):
+        with pytest.raises(ValueError, match=message):
+            grid_function(k, samples)
+
     def test_roots_are_keyed_on_precision(self):
         # a 100-digit row after a 40-digit one must not reuse 40-digit roots
         assert check_legendre_row(13, PrecisionConfig(40)).passed

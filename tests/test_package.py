@@ -28,6 +28,39 @@ def test_import_loads_no_other_layer(module):
     assert json.loads(result.stdout) == ["pcores", module]
 
 
+# Modules that only some commands need: dataclasses (with inspect) in none,
+# hashlib (with OpenSSL's _hashlib) only under --cache, pcores.fourier only in
+# verify fft.
+OPTIONAL_MODULES = ("dataclasses", "inspect", "hashlib", "_hashlib",
+                    "pcores.fourier")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["classnum", "--p", "7"], []),
+    (["approx", "--p", "17", "--n", "100000", "--method", "singular"], []),
+    (["verify", "fft", "--kmax", "2", "--rmax", "1", "--smax", "2",
+      "--pmax", "3", "--grids", "2", "--grid-kmax", "2"], ["pcores.fourier"]),
+    (["count", "--p", "5", "--n", "10", "--cache", "CACHE"],
+     ["_hashlib", "hashlib"]),
+])
+def test_command_loads_only_what_it_runs(tmp_path, argv, loaded):
+    # the modules a command adds to those the interpreter starts with
+    argv = [str(tmp_path / "cache.jsonl") if a == "CACHE" else a
+            for a in argv]
+    probe = ("import json, sys\n"
+             "before = set(sys.modules)\n"
+             "from pcores.cli import run_cli\n"
+             "code = run_cli(sys.argv[1:])\n"
+             "print(json.dumps([code, sorted(set(sys.modules) - before)]))")
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", probe, *argv],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    code, added = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0
+    assert [name for name in added if name in OPTIONAL_MODULES] == loaded
+
+
 def test_readme_library_example():
     # every expression line commented with a number must evaluate to it;
     # "~x" means within 5 %
