@@ -19,10 +19,11 @@ from mpmath.libmp import from_man_exp, round_nearest
 
 from .arith import (bernoulli_poly, dedekind_sum, divisors, is_prime,
                     legendre_symbol, ramanujan_sum, sawtooth)
-from .precision import (DEFAULT_PRECISION, PrecisionConfig, SnappedInteger,
-                        VerificationError, snap_integer, to_mpf)
+from .precision import (DEFAULT_PRECISION, PrecisionConfig,
+                        VerificationError, to_mpf)
 from .series import eta_quotient_value, pcore_count
-from .special import cot_derivative, hurwitz_zeta, hurwitz_zeta_neg
+from .special import (cot_derivative, cot_polynomial, hurwitz_zeta,
+                      hurwitz_zeta_neg)
 
 # Exact count attached to approximation reports only below this n.
 _EXACT_CUTOFF = 20000
@@ -65,27 +66,51 @@ def _exact_int(value: Fraction, what: str) -> int:
     return int(value)
 
 
-def exp_sum(p: int, k: int, n: int,
-            config: PrecisionConfig = DEFAULT_PRECISION) -> SnappedInteger:
+def _cyclotomic_integer(c: list) -> int | None:
+    """sum_j c[j] * zeta^j, zeta = e^(2*pi*i/N), N = len(c), if it is an
+    integer, else None; c is reduced in place.  Z[zeta] is the tensor
+    product of Z[zeta_q] over the prime powers q = l^a exactly dividing N
+    (Washington, ch. 4), zeta^j the product of zeta_q^(j mod q).  For each
+    prime l the terms zeta^(j + i*N/l), i < l, sum to 0, and a step of N/l
+    moves only the q-coordinate, by a nonzero multiple of q/l; so a term in
+    the top block q - q/l <= j mod q < q moves onto the l - 1 others of its
+    coset, below it, in O(N) per prime.  What is left is in the product
+    of the power bases, where an integer has only the coordinate of 1.
+    """
+    N = len(c)
+    for l in filter(is_prime, divisors(N)):
+        q = l
+        while N % (q * l) == 0:
+            q *= l
+        for j in range(N):
+            if c[j] and j % q >= q - q // l:
+                for i in range(1, l):
+                    c[(j - i * N // l) % N] -= c[j]
+                c[j] = 0
+    return None if any(c[1:]) else c[0]
+
+
+def exp_sum(p: int, k: int, n: int) -> int:
     """Exponential sum over reduced residues h mod k with Dedekind-sum phases.
 
     Each phase is the exact rational
         theta_h = (s(h,k) - p*s(p*h mod k, k))/2 - h*n/k,
-    an integer over 12k, summed as e^(2*pi*i*theta_h) at working precision
-    and snapped to an integer (the imaginary part is folded into the snap
-    residual).  k = 1 contributes the single term 1.  Denominators
-    divisible by p are rejected.
+    an integer j_h over N = 12k, so the sum is the cyclotomic integer
+    sum_j c_j zeta^j for zeta = e^(2*pi*i/N) and c_j the number of h with
+    j_h = j mod N; a sum that is not an integer raises VerificationError.
+    Denominators divisible by p are rejected.
     """
     _require_p(p, k)
-    ctx = config.context()
-    terms = []
+    N = 12 * k
+    c = [0] * N
     for h in range(k):
-        if gcd(h, k) != 1:
-            continue
-        theta_12k = -_phase_6k(p, h, k) - 12 * h * n
-        terms.append(ctx.expjpi(ctx.fdiv(theta_12k % (12 * k), 6 * k)))
-    total = ctx.fsum(terms)
-    return snap_integer(total, config, label=f"exponential sum (k={k}, n={n})")
+        if gcd(h, k) == 1:
+            c[(-_phase_6k(p, h, k) - 12 * h * n) % N] += 1
+    value = _cyclotomic_integer(c)
+    if value is None:
+        raise VerificationError(
+            f"exponential sum (k={k}, n={n}) is not an integer")
+    return value
 
 
 def singular_term(p: int, k: int, n: int,
@@ -221,14 +246,19 @@ def leading_constant(p: int, variant: str,
                     for j in range(1, p))
         return Fraction(legendre_symbol(-2, p), 2) * p ** half * total
     if variant == "iii":
-        return cotangent_char_sum_raw(r, p, config)
+        total = ctx.fsum(legendre_symbol(j, p)
+                         * cot_derivative(r, Fraction(j, p), config)
+                         for j in range(1, p))
+        return -legendre_symbol(-1, p) * ctx.sqrt(p) * total / 2 ** (r + 2)
     if variant == "iv":
         return -legendre_symbol(-2, p) * (-1) ** ((r - 1) // 2) \
             * bernoulli_char_sum(r, p)
     if p % 4 != 3:
         raise ValueError("variants v and vi require p = 3 mod 4")
     if variant == "v":
-        return _quadratic_cotangent_side(r, p, config)
+        return ctx.sqrt(p) / 2 ** (r + 1) * ctx.fsum(
+            cot_derivative(r, Fraction(j * j % p, p), config)
+            for j in range(1, (p - 1) // 2 + 1))
     return _quadratic_bernoulli_side(r, p)
 
 
@@ -300,32 +330,54 @@ def bernoulli_char_sum(r: int, p: int) -> Fraction:
     return (-1) ** ((r - 1) // 2) * Fraction(p ** (r + 1), 2 * (r + 1)) * total
 
 
-def cotangent_char_sum_raw(r: int, p: int,
-                           config: PrecisionConfig = DEFAULT_PRECISION):
-    """-(-1|p) * sqrt(p) * 2^-(r+2) * sum_j (j|p) cot^(r)(pi*j/p), unsnapped."""
+def _times_u(v: list, p: int) -> list:
+    # v * u in Z[x]/(x^p - 1), u = (1 + x) * sum_m m x^m, in O(p): T = (sum_m
+    # m x^m) * v has T_0 = sum_m m v_(-m), T_(n+1) = T_n + sum(v) - p*v_(n+1)
+    total, T = sum(v), [sum(m * v[-m] for m in range(1, p))]
+    for n in range(1, p):
+        T.append(T[-1] + total - p * v[n])
+    return [T[n] + T[n - 1] for n in range(p)]
+
+
+def _cot_sum(r: int, p: int, residues: bool = False) -> Fraction:
+    """sqrt(p) * sum of cot^(r)(pi*j/p), exactly: over j = 1..p-1 weighted
+    by (j|p), or with residues=True over the quadratic residues j mod p.
+
+    cot(pi*j/p) = i*sigma_j(w) for w = (zeta+1)/(zeta-1), zeta =
+    e^(2*pi*i/p), and p*w is u = (1+x) * sum_m m x^m in Z[x]/(x^p - 1).
+    With cot^(r) = (-1)^r f_r(cot) and f_r(i*t) = i^(r+1) h(t), the sum is
+    (-1)^r i^(r+1) sqrt(p) sum_j sigma_j(P) / p^(r+1) for the integer
+    element P = sum_m h_m u^m p^(r+1-m), h_m = (-1)^((r+1-m)/2) f_(r,m)
+    (f_0(t) = t), taken by Horner's rule.  The Gauss sum g, sqrt(p)*g = p
+    or i*p for p = 1 or 3 mod 4, folds the sums over j (Washington,
+    Introduction to Cyclotomic Fields, ch. 4): sum_j (j|p) sigma_j(P) =
+    g*dot and the sum of sigma_q(P) over residues q is (g*dot + rest)/2,
+    with dot = sum_(e!=0) (e|p) P_e, rest = (p-1) P_0 - sum_(e!=0) P_e.
+    The sums are real and rational, so dot must vanish when the power of
+    i is odd, and rest always; otherwise VerificationError.
+    """
+    f = cot_polynomial(r) if r else (0, 1)
+    P = [0] * p
+    for m in range(r + 1, -1, -1):
+        if m <= r:
+            P = _times_u(P, p)
+        P[0] += (-1) ** ((r + 1 - m) // 2) * f[m] * p ** (r + 1 - m)
+    dot = sum(legendre_symbol(e, p) * P[e] for e in range(1, p))
+    rest = p * P[0] - sum(P)
+    power = r + 1 + (p % 4 == 3)
+    if (residues and rest) or (power % 2 and dot):
+        raise VerificationError(
+            f"cotangent sum (r={r}, p={p}) is not rational")
+    value = Fraction((-1) ** (r + power // 2) * dot, p ** r)
+    return value / 2 if residues else value
+
+
+def cotangent_char_sum(r: int, p: int) -> Fraction:
+    """-(-1|p) * sqrt(p) * 2^-(r+2) * sum_j (j|p) cot^(r)(pi*j/p), exactly."""
     if r < 1:
         raise ValueError("r must be >= 1")
     _require_p(p)
-    ctx = config.context()
-    total = ctx.fsum(legendre_symbol(j, p)
-                     * cot_derivative(r, Fraction(j, p), config)
-                     for j in range(1, p))
-    return -legendre_symbol(-1, p) * ctx.sqrt(p) * total / 2 ** (r + 2)
-
-
-def cotangent_char_sum(r: int, p: int,
-                       config: PrecisionConfig = DEFAULT_PRECISION) -> SnappedInteger:
-    """The cotangent character sum snapped to its integer value."""
-    raw = cotangent_char_sum_raw(r, p, config)
-    return snap_integer(raw, config, label=f"cotangent sum (r={r}, p={p})")
-
-
-def _quadratic_cotangent_side(r: int, p: int, config: PrecisionConfig):
-    """sqrt(p) * 2^-(r+1) * sum_{j<=(p-1)/2} cot^(r)(pi*(j^2 mod p)/p)."""
-    ctx = config.context()
-    return ctx.sqrt(p) / 2 ** (r + 1) * ctx.fsum(
-        cot_derivative(r, Fraction(j * j % p, p), config)
-        for j in range(1, (p - 1) // 2 + 1))
+    return -legendre_symbol(-1, p) * _cot_sum(r, p) / 2 ** (r + 2)
 
 
 def _quadratic_bernoulli_side(r: int, p: int) -> Fraction:
@@ -348,13 +400,12 @@ def quadratic_sawtooth_sum(p: int) -> Fraction:
 CLASS_NUMBER_METHODS = ("dirichlet", "sawtooth", "cotangent")
 
 
-def class_number(p: int, method: str = "all",
-                 config: PrecisionConfig = DEFAULT_PRECISION) -> int:
+def class_number(p: int, method: str = "all") -> int:
     """h(-p) for a prime p = 3 mod 4, p >= 7, by one of three routes:
 
     dirichlet   -(1/p) * sum_j j*(j|p)                       [exact]
     sawtooth    -sum_j ((j^2/p))                              [exact]
-    cotangent   (1/sqrt(p)) * half-range sum of cot(pi*j^2/p) [snapped]
+    cotangent   (1/sqrt(p)) * half-range sum of cot(pi*j^2/p) [exact]
 
     method="all" runs every route and requires agreement.
     """
@@ -373,9 +424,8 @@ def class_number(p: int, method: str = "all",
         return _exact_int(-quadratic_sawtooth_sum(p), f"sawtooth sum for p={p}")
 
     def by_cotangent() -> int:
-        value = 2 * _quadratic_cotangent_side(0, p, config) / p
-        return snap_integer(value, config,
-                            label=f"cotangent class number (p={p})").nearest
+        return _exact_int(_cot_sum(0, p, residues=True) / p,
+                          f"cotangent class number for p={p}")
 
     routes = {"dirichlet": by_dirichlet, "sawtooth": by_sawtooth,
               "cotangent": by_cotangent}
@@ -397,39 +447,35 @@ class ConjectureReport(NamedTuple):
     parameters: dict
     checked: int
     counterexamples: list
-    worst_residual: float
 
     @property
     def passed(self) -> bool:
         return not self.counterexamples
 
 
-def verify_ramanujan_identity(p: int, kmax: int, nmax: int,
-                              config: PrecisionConfig = DEFAULT_PRECISION) -> ConjectureReport:
+def verify_ramanujan_identity(p: int, kmax: int, nmax: int) -> ConjectureReport:
     """Check exp_sum(p,k,n) = (k|p) * c_k(n + (p^2-1)/24) over a full sweep."""
     _require_p(p)
     if kmax < 1 or nmax < 0:
         raise ValueError("need kmax >= 1 and nmax >= 0")
     shift = _shift(p)
     counterexamples = []
-    worst = 0.0
     checked = 0
     for k in range(1, kmax + 1):
         if k % p == 0:
             continue
         eps = legendre_symbol(k, p)
         for n in range(nmax + 1):
-            snapped = exp_sum(p, k, n, config)
+            value = exp_sum(p, k, n)
             expected = eps * ramanujan_sum(k, n + shift)
             checked += 1
-            worst = max(worst, snapped.residual)
-            if snapped.nearest != expected:
+            if value != expected:
                 counterexamples.append(
-                    {"k": k, "n": n, "sum": snapped.nearest, "expected": expected})
+                    {"k": k, "n": n, "sum": value, "expected": expected})
     return ConjectureReport(
         name="ramanujan-identity",
         parameters={"p": p, "kmax": kmax, "nmax": nmax},
-        checked=checked, counterexamples=counterexamples, worst_residual=worst)
+        checked=checked, counterexamples=counterexamples)
 
 
 def verify_dedekind_parity(p: int, kmax: int) -> ConjectureReport:
@@ -462,7 +508,7 @@ def verify_dedekind_parity(p: int, kmax: int) -> ConjectureReport:
                     {"k": k, "h": h, "reason": "parity", "delta": delta})
     return ConjectureReport(
         name="dedekind-parity", parameters={"p": p, "kmax": kmax},
-        checked=checked, counterexamples=counterexamples, worst_residual=0.0)
+        checked=checked, counterexamples=counterexamples)
 
 
 class DirichletSeriesReport(NamedTuple):
@@ -604,7 +650,7 @@ class TrigIdentityReport(NamedTuple):
 
     r: int
     p: int
-    lhs: SnappedInteger
+    lhs: Fraction
     rhs: Fraction
     magnitude_match: bool
     relative_sign: int
@@ -614,15 +660,14 @@ class TrigIdentityReport(NamedTuple):
         return self.magnitude_match
 
 
-def verify_quadratic_trig_identity(r: int, p: int,
-                                   config: PrecisionConfig = DEFAULT_PRECISION) -> TrigIdentityReport:
+def verify_quadratic_trig_identity(r: int, p: int) -> TrigIdentityReport:
     """Compare sqrt(p) * 2^-(r+1) * sum_{j<=(p-1)/2} cot^(r)(pi*(j^2 mod p)/p)
     against the exact Bernoulli companion sum.
 
-    Coherent domain: p = 3 mod 4, even r >= 2, gcd(p, r+1) = 1.  The two
-    sides are asserted equal in absolute value (the cotangent side must
-    snap to an integer); their empirical relative sign is recorded rather
-    than assumed.
+    Coherent domain: p = 3 mod 4, even r >= 2, gcd(p, r+1) = 1.  Both
+    sides are exact; they are asserted to be integers equal in absolute
+    value, and their empirical relative sign is recorded rather than
+    assumed.
     """
     if r < 2 or r % 2:
         raise ValueError("r must be even and >= 2")
@@ -631,11 +676,10 @@ def verify_quadratic_trig_identity(r: int, p: int,
         raise ValueError("the identity is coherent only for p = 3 mod 4")
     if gcd(p, r + 1) != 1:
         raise ValueError("need gcd(p, r+1) = 1")
-    lhs = snap_integer(_quadratic_cotangent_side(r, p, config), config,
-                       label=f"cotangent side (r={r}, p={p})")
+    lhs = _cot_sum(r, p, residues=True) / 2 ** (r + 1)
     rhs = _quadratic_bernoulli_side(r, p)
-    magnitude_match = rhs.denominator == 1 and abs(lhs.nearest) == abs(rhs)
-    lhs_sign = 1 if lhs.nearest > 0 else (-1 if lhs.nearest < 0 else 0)
+    magnitude_match = rhs.denominator == 1 and abs(lhs) == abs(rhs)
+    lhs_sign = 1 if lhs > 0 else (-1 if lhs < 0 else 0)
     rhs_sign = 1 if rhs > 0 else (-1 if rhs < 0 else 0)
     return TrigIdentityReport(r=r, p=p, lhs=lhs, rhs=rhs,
                               magnitude_match=magnitude_match,

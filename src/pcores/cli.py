@@ -123,23 +123,22 @@ def _cp(args, config):
 
 def _trig(args, config):
     exact = bernoulli_char_sum(args.r, args.p)
-    snapped = cotangent_char_sum(args.r, args.p, config)
-    passed = exact.denominator == 1 and snapped.nearest == exact
-    values = {"bernoulli_sum": _number_str(exact, config),
-              "cotangent_sum": str(snapped.nearest)}
-    return values, {"snap": snapped.residual}, passed
+    cotangent = cotangent_char_sum(args.r, args.p)
+    passed = exact.denominator == 1 and cotangent == exact
+    values = {"bernoulli_sum": str(exact), "cotangent_sum": str(cotangent)}
+    return values, {}, passed
 
 
 def _classnum(args, config):
-    value = class_number(args.p, args.method, config)
+    value = class_number(args.p, args.method)
     return {"class_number": str(value), "method": args.method}, {}, True
 
 
 def _ramanujan_identity(args, config):
-    report = verify_ramanujan_identity(args.p, args.kmax, args.nmax, config)
+    report = verify_ramanujan_identity(args.p, args.kmax, args.nmax)
     values = {"checked": report.checked,
               "counterexamples": report.counterexamples}
-    return values, {"worst": report.worst_residual}, report.passed
+    return values, {}, report.passed
 
 
 def _dedekind_parity(args, config):
@@ -189,12 +188,12 @@ def _fft(args, config):
 
 
 def _trig_identity(args, config):
-    report = verify_quadratic_trig_identity(args.r, args.p, config)
-    values = {"cotangent_side": str(report.lhs.nearest),
-              "bernoulli_side": _number_str(report.rhs, config),
+    report = verify_quadratic_trig_identity(args.r, args.p)
+    values = {"cotangent_side": str(report.lhs),
+              "bernoulli_side": str(report.rhs),
               "relative_sign": report.relative_sign,
               "magnitude_match": report.magnitude_match}
-    return values, {"snap": report.lhs.residual}, report.passed
+    return values, {}, report.passed
 
 
 def _divisibility_parameters(parameters):

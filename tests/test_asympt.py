@@ -25,9 +25,9 @@ PRIMES_5_TO_31 = (5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
 def _exp_sum_term(p, k, n, config):
-    """singular_term as it was built on the snapped exponential sum: the
-    same mpmath operations in the same order, amplitude from exp_sum."""
-    amplitude = exp_sum(p, k, n, config).nearest
+    """singular_term as it was built on the exponential sum: the same
+    mpmath operations in the same order, amplitude from exp_sum."""
+    amplitude = exp_sum(p, k, n)
     ctx = config.context()
     if amplitude == 0:
         return ctx.mpf(0)
@@ -43,18 +43,42 @@ class TestExpSum:
     def test_k1_is_one(self):
         for p in (5, 7, 13):
             for n in (0, 3, 100):
-                assert exp_sum(p, 1, n).nearest == 1
+                assert exp_sum(p, 1, n) == 1
 
     def test_known_values(self):
-        assert exp_sum(5, 2, 3).nearest == -1
-        assert exp_sum(7, 3, 0).nearest == 1
-        assert exp_sum(5, 4, 1).nearest == -2
-        assert exp_sum(5, 3, 1).nearest == 1
+        assert exp_sum(5, 2, 3) == -1
+        assert exp_sum(7, 3, 0) == 1
+        assert exp_sum(5, 4, 1) == -2
+        assert exp_sum(5, 3, 1) == 1
 
-    def test_residuals_tiny(self):
-        for k in (2, 3, 4, 6, 9):
-            snapped = exp_sum(11, k, 7)
-            assert snapped.residual < 1e-55
+    def test_cyclotomic_integer_gives_ramanujan_sums(self):
+        # sum of zeta^(h*n) over reduced h mod N is c_N(n); zeta alone is
+        # not an integer for any N > 2
+        for N in range(1, 400):
+            for n in (0, 1, 6, N // 2 + 1):
+                c = [0] * N
+                for h in range(N):
+                    if math.gcd(h, N) == 1:
+                        c[h * n % N] += 1
+                assert asympt._cyclotomic_integer(c) == ramanujan_sum(N, n), (N, n)
+            if N > 2:
+                assert asympt._cyclotomic_integer([0, 1] + [0] * (N - 2)) is None
+
+    def test_closed_form_sweep(self):
+        # (k|p) * c_k(n + (p^2-1)/24) for every p <= 31, k <= 30, n <= 30
+        for p in PRIMES_5_TO_31:
+            shift = (p * p - 1) // 24
+            for k in range(1, 31):
+                if k % p:
+                    for n in range(31):
+                        assert exp_sum(p, k, n) == legendre_symbol(k, p) \
+                            * ramanujan_sum(k, n + shift), (p, k, n)
+
+    def test_non_integer_sum_raises(self, monkeypatch):
+        # a phase off by one turns the k = 1 sum into e^(2*pi*i/12)
+        monkeypatch.setattr(asympt, "_phase_6k", lambda p, h, k: 1)
+        with pytest.raises(VerificationError, match="not an integer"):
+            exp_sum(5, 1, 0)
 
     def test_rejects_multiples_of_p(self):
         with pytest.raises(ValueError):
@@ -200,9 +224,10 @@ class TestCharacterSums:
         assert bernoulli_char_sum(9, 5) == Fraction(412751, 5)
 
     def test_cotangent_examples(self):
-        assert cotangent_char_sum(2, 7).nearest == 8
-        assert cotangent_char_sum(1, 5).nearest == 1
-        assert cotangent_char_sum(2, 5).nearest == 0
+        assert cotangent_char_sum(2, 7) == 8
+        assert cotangent_char_sum(1, 5) == 1
+        assert cotangent_char_sum(2, 5) == 0
+        assert cotangent_char_sum(9, 5) == Fraction(412751, 5)
 
     def test_sums_agree_in_coherent_domain(self):
         from math import gcd
@@ -212,7 +237,29 @@ class TestCharacterSums:
                     continue
                 exact = bernoulli_char_sum(r, p)
                 assert exact.denominator == 1
-                assert cotangent_char_sum(r, p).nearest == exact
+                assert cotangent_char_sum(r, p) == exact
+
+    def test_sums_agree_for_primes_to_97(self):
+        # as exact rationals, integers or not, for every prime p <= 97
+        for p in range(5, 98):
+            if is_prime(p):
+                for r in range(1, 16):
+                    assert cotangent_char_sum(r, p) \
+                        == bernoulli_char_sum(r, p), (r, p)
+
+    def test_sums_agree_at_97_to_r61(self):
+        # r = 20 is 0 and r = 61 a 159-digit integer
+        for r in range(16, 62):
+            assert cotangent_char_sum(r, 97) == bernoulli_char_sum(r, 97), r
+        assert cotangent_char_sum(20, 97) == 0
+        assert len(str(cotangent_char_sum(61, 97))) == 159
+
+    def test_non_real_sum_raises(self, monkeypatch):
+        # for p = 1 mod 4 and even r the sum over j is i times a real
+        # number, which must vanish; an even term in f_2 breaks that
+        monkeypatch.setattr(asympt, "cot_polynomial", lambda r: (0, 2, 1, 2))
+        with pytest.raises(VerificationError, match="not rational"):
+            cotangent_char_sum(2, 5)
 
     def test_parity_vanishing(self):
         # nonzero requires r odd exactly when p = 1 mod 4
@@ -239,10 +286,12 @@ class TestClassNumber:
         assert class_number(199) == 9
 
     def test_methods_agree_individually(self):
-        for p in (7, 19, 43, 59):
-            values = {m: class_number(p, m)
-                      for m in ("dirichlet", "sawtooth", "cotangent")}
-            assert len(set(values.values())) == 1
+        # every prime p = 3 mod 4 from 7 to 499
+        for p in range(7, 500, 4):
+            if is_prime(p):
+                values = {m: class_number(p, m)
+                          for m in ("dirichlet", "sawtooth", "cotangent")}
+                assert len(set(values.values())) == 1, p
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -268,7 +317,6 @@ class TestRamanujanIdentity:
         assert report.checked == sum(
             1 for k in range(1, 13) if k % 5
             for _ in range(13))
-        assert report.worst_residual < 1e-50
 
     def test_seven_sweep(self):
         report = verify_ramanujan_identity(7, 10, 10)
@@ -365,13 +413,31 @@ class TestTrigIdentity:
     def test_r2_p7(self):
         report = verify_quadratic_trig_identity(2, 7)
         assert report.passed
-        assert abs(report.lhs.nearest) == 8
+        assert abs(report.lhs) == 8
         assert report.relative_sign == -1
 
     def test_r2_p11_magnitude(self):
         report = verify_quadratic_trig_identity(2, 11)
         assert report.passed
-        assert abs(report.lhs.nearest) == abs(bernoulli_char_sum(2, 11))
+        assert abs(report.lhs) == abs(bernoulli_char_sum(2, 11))
+
+    def test_sides_equal_below_200(self):
+        # the cotangent side is exact: equal to the Bernoulli companion,
+        # sign included, for p = 3 mod 4 below 200 and r <= 8
+        for p in range(7, 200, 4):
+            if is_prime(p):
+                for r in (2, 4, 6, 8):
+                    if math.gcd(p, r + 1) == 1:
+                        report = verify_quadratic_trig_identity(r, p)
+                        assert report.passed, (r, p)
+                        assert report.lhs == -report.rhs, (r, p)
+
+    def test_irrational_side_raises(self, monkeypatch):
+        # a constant term in f_2 adds a multiple of sqrt(p) to the
+        # residue sum, which the exact route must refuse
+        monkeypatch.setattr(asympt, "cot_polynomial", lambda r: (1, 2, 0, 2))
+        with pytest.raises(VerificationError, match="not rational"):
+            verify_quadratic_trig_identity(2, 7)
 
     def test_r4_p7(self):
         assert verify_quadratic_trig_identity(4, 7).passed

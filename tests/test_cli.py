@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import metadata
 from pathlib import Path
 
@@ -118,24 +119,42 @@ class TestTrig:
         assert "bernoulli_sum: 8" in out
         assert "cotangent_sum: 8" in out
 
-    def test_precision_exhaustion_exits_3(self, capsys):
-        code, out, err = run(capsys, "trig", "--r", "14", "--p", "31",
-                             "--prec", "20")
-        assert code == 3
-        assert out == ""
+    @pytest.mark.parametrize("argv", [
+        "--r 20 --p 97",             # the sum is 0
+        "--r 61 --p 97",             # a 159-digit integer
+        "--r 14 --p 31 --prec 20",   # exact at any precision
+    ])
+    def test_exact_sums_pass(self, capsys, argv):
+        code, out, err = run(capsys, "trig", *argv.split(),
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["values"]["cotangent_sum"] == doc["values"]["bernoulli_sum"]
+        assert doc["residuals"] == {}
+        assert doc["pass"] is True
+
+    def test_non_integer_sum_fails_with_envelope(self, capsys):
+        # both sides are 412751/5: equal, but not an integer
+        code, out, err = run(capsys, "trig", "--r", "9", "--p", "5")
+        assert (code, err) == (1, "")
+        assert "bernoulli_sum: 412751/5" in out
+        assert "cotangent_sum: 412751/5" in out
+        assert out.endswith("pass: false\n")
+
+
+class TestPrecisionFailure:
+    def test_stalled_zeta_tail_exits_3(self, capsys, monkeypatch,
+                                       clear_zeta_caches):
+        # corrections that grow stall the Euler-Maclaurin tail of variant i
+        import pcores.special
+        monkeypatch.setattr(pcores.special, "_euler_maclaurin_coefficient",
+                            lambda j: Fraction(10 ** (40 * j)))
+        code, out, err = run(capsys, "cp", "--p", "7", "--variant", "i")
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1
         doc = json.loads(err)
         assert doc["error"] == "precision"
-
-    def test_uncertified_magnitude_exits_3(self, capsys):
-        # a 159-digit sum cannot be snapped at 70 working digits
-        code, out, err = run(capsys, "trig", "--r", "61", "--p", "97")
-        assert code == 3
-        assert out == ""
-        assert json.loads(err)["error"] == "precision"
-        code, out, _ = run(capsys, "trig", "--r", "61", "--p", "97",
-                           "--prec", "200")
-        assert code == 0
-        assert "pass: true" in out
+        assert "stalled" in doc["message"]
 
 
 class TestClassnum:

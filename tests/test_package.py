@@ -61,6 +61,28 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, loaded):
     assert [name for name in added if name in OPTIONAL_MODULES] == loaded
 
 
+@pytest.mark.parametrize("argv", [
+    ["trig", "--r", "8", "--p", "97"],
+    ["classnum", "--p", "199"],
+    ["verify", "trig-identity", "--r", "4", "--p", "43"],
+    ["verify", "ramanujan-identity", "--p", "13", "--kmax", "15",
+     "--nmax", "15"],
+])
+def test_exact_command_builds_no_mpmath_context(argv):
+    # these commands compute in integers alone, whatever --prec says
+    probe = ("import json, sys\n"
+             "from pcores import precision\n"
+             "from pcores.cli import run_cli\n"
+             "code = run_cli(sys.argv[1:])\n"
+             "print(json.dumps([code, precision._context.cache_info()"
+             ".currsize]))")
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", probe, *argv],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == [0, 0]
+
+
 def test_readme_library_example():
     # every expression line commented with a number must evaluate to it;
     # "~x" means within 5 %
