@@ -1,16 +1,19 @@
 """Exponential sums, asymptotic estimates, constants, and identity checks."""
 
+import importlib.util
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
 
 from pcores.asympt import (approx_divisor_sum, approx_singular_series,
                            bernoulli_char_sum, class_number,
                            cotangent_char_sum, divisibility_scan, exp_sum,
                            leading_constant, leading_constant_report,
-                           quadratic_sawtooth_sum,
-                           singular_term, verify_dedekind_parity,
+                           quadratic_sawtooth_sum, verify_dedekind_parity,
                            verify_dirichlet_series, verify_eta_transform,
                            verify_quadratic_trig_identity,
                            verify_ramanujan_identity)
@@ -18,25 +21,10 @@ import pcores.asympt as asympt
 from oracles import exact
 from pcores.arith import divisors, is_prime, legendre_symbol, ramanujan_sum
 from pcores.precision import (DEFAULT_PRECISION, PrecisionConfig,
-                              VerificationError, to_mpf)
+                              VerificationError)
 from pcores.series import pcore_count
 
 PRIMES_5_TO_31 = (5, 7, 11, 13, 17, 19, 23, 29, 31)
-
-
-def _exp_sum_term(p, k, n, config):
-    """singular_term as it was built on the exponential sum: the same
-    mpmath operations in the same order, amplitude from exp_sum."""
-    amplitude = exp_sum(p, k, n)
-    ctx = config.context()
-    if amplitude == 0:
-        return ctx.mpf(0)
-    half = (p - 1) // 2
-    value = (2 * ctx.pi / k) ** half
-    value *= ctx.power(p, -to_mpf(ctx, Fraction(p, 2)))
-    value *= amplitude
-    value *= ctx.mpf(n + (p * p - 1) // 24) ** (half - 1)
-    return value / math.factorial(half - 1)
 
 
 class TestExpSum:
@@ -91,7 +79,7 @@ class TestSingularSeries:
     def test_leading_term_value(self):
         # k=1 term for p=5, n=4: (2 pi)^2 * 5^(-5/2) * 5 / 1
         ctx = DEFAULT_PRECISION.context()
-        term = singular_term(5, 1, 4)
+        term = approx_singular_series(5, 4, 1, with_exact=False).estimate
         expected = (2 * ctx.pi) ** 2 * ctx.mpf(5) ** ctx.mpf("-2.5") * 5
         assert abs(term - expected) < 1e-50
 
@@ -116,30 +104,99 @@ class TestSingularSeries:
 
     @pytest.mark.parametrize("p", PRIMES_5_TO_31)
     def test_closed_form_amplitude_matches_exp_sum(self, p):
+        # the series sums A_k as (k|p) * c_k(N), N = n + (p^2-1)/24; at
+        # exponent 0 and no fraction bits each step of kmax adds A_k alone.
         # n + (p^2-1)/24 = 0 mod d for each d | k exercises every gcd
         shift = (p * p - 1) // 24
         for k in range(1, 41):
             if k % p == 0:
                 continue
             for n in {0, 1, 1000} | {-shift % d for d in divisors(k)}:
-                expected = _exp_sum_term(p, k, n, DEFAULT_PRECISION)
-                assert singular_term(p, k, n) == expected, (k, n)
+                added = asympt._twisted_ramanujan_sum(p, n + shift, 0, k, 0) \
+                    - asympt._twisted_ramanujan_sum(p, n + shift, 0, k - 1, 0)
+                assert added == exp_sum(p, k, n), (k, n)
 
-    @pytest.mark.parametrize("digits", [40, 60, 100])
+    @pytest.mark.parametrize("digits", [20, 40, 60, 100])
     def test_estimate_equals_exp_sum_series(self, digits):
+        # against S * 2^h * N^(h-1) / ((h-1)! * p^h) * pi^h / sqrt(p), S the
+        # exact sum of exp_sum(p, k, n) / k^h, evaluated at 3x the bits and
+        # held to the (h+6) * 2^-prec of approx_singular_series' docstring
         config = PrecisionConfig.for_digits(digits)
-        for p, n, kmax in ((5, 24, 60), (17, 30001, 40), (31, 10 ** 6, 25)):
-            total = config.context().mpf(0)
-            for k in range(1, kmax + 1):
-                if k % p:
-                    total += _exp_sum_term(p, k, n, config)
-            report = approx_singular_series(p, n, kmax, config,
-                                            with_exact=False)
-            assert report.estimate == total
+        prec = config.context().prec
+        oracle = mpmath.mp.clone()
+        oracle.prec = 3 * prec
+        for p in (5, 7, 13, 31, 61):
+            h = (p - 1) // 2
+            for n in (0, 1, 999, 20001, 10 ** 6):
+                shifted = n + (p * p - 1) // 24
+                S = Fraction(0)
+                for kmax in range(1, 41):
+                    if kmax % p:
+                        S += Fraction(exp_sum(p, kmax, n), kmax ** h)
+                    if kmax not in (1, 7, 40):
+                        continue
+                    R = S * 2 ** h * shifted ** (h - 1) \
+                        / (math.factorial(h - 1) * p ** h)
+                    series = oracle.fdiv(R.numerator, R.denominator) \
+                        * oracle.pi ** h / oracle.sqrt(p)
+                    estimate = approx_singular_series(
+                        p, n, kmax, config, with_exact=False).estimate
+                    gap = abs(oracle.convert(estimate) - series) / series
+                    assert gap <= (h + 6) * oracle.mpf(2) ** -prec, \
+                        (p, n, kmax)
 
-    def test_singular_term_rejects_multiples_of_p(self):
+    def test_multiples_of_p_add_nothing(self):
+        # k = 14 is excluded for p = 7, and 13 and 14 have the same bit length
+        for n in (0, 1, 999):
+            assert approx_singular_series(7, n, 14, with_exact=False) \
+                == approx_singular_series(7, n, 13, with_exact=False)._replace(
+                    kmax=14)
+
+    def test_rejects_bad_depth_and_n(self):
         with pytest.raises(ValueError):
-            singular_term(7, 14, 1)
+            approx_singular_series(7, 10, 0)
+        with pytest.raises(ValueError):
+            approx_singular_series(7, -1, 10)
+
+    @pytest.mark.parametrize("p", PRIMES_5_TO_31)
+    def test_limit_is_the_divisor_estimate(self, p):
+        # the full series is D(N)/C; the tail beyond kmax is about
+        # kmax^(3/2-h)/(h-3/2) of the whole, and ten times that must hold
+        h = (p - 1) / 2
+        kmax = 1000
+        bound = min(0.1, 10 * kmax ** (1.5 - h) / (h - 1.5))
+        for n in (0, 1, 999, 20001, 123457, 10 ** 6):
+            singular = approx_singular_series(p, n, kmax, with_exact=False)
+            divisor = approx_divisor_sum(p, n, with_exact=False)
+            gap = abs(singular.estimate - divisor.estimate) / divisor.estimate
+            assert gap <= bound, (n, float(gap))
+
+    def test_experiment_script_runs_above_the_exact_cutoff(self, monkeypatch,
+                                                          capsys):
+        # above the cutoff the reports attach no exact count, so the script
+        # takes both relative errors from its own count
+        path = Path(__file__).resolve().parents[1] / "scripts" \
+            / "approx_experiment.py"
+        spec = importlib.util.spec_from_file_location("approx_experiment",
+                                                      path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(asympt, "_EXACT_CUTOFF", 100)
+        monkeypatch.setattr(sys, "argv",
+                            ["approx_experiment.py", "--p", "5", "--n", "300"])
+        script.main()
+        out = capsys.readouterr().out
+        count = pcore_count(5, 300)
+        assert f"a_5(300) = {count}" in out
+        # the divisor estimate is the 5-core count itself
+        assert "relative error 0.000e+00" in out
+        rows = {row[0]: row for row in map(str.split, out.splitlines())
+                if row and row[0].isdigit()}
+        assert list(rows) == ["1", "5", "10", "50", "200"]
+        for kmax, row in rows.items():
+            estimate = approx_singular_series(5, 300, int(kmax),
+                                              with_exact=False).estimate
+            assert row[2] == f"{float(abs(estimate - count) / count):.3e}"
 
 
 class TestDivisorSumEstimate:
