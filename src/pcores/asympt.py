@@ -4,9 +4,11 @@ Contents: the Dedekind-sum exponential sums over reduced residues, the
 twisted Ramanujan sum shared by the singular series and the Dirichlet
 series check, two asymptotic estimates (truncated singular series and
 exact divisor sum over the leading constant), the leading constant by six
-independent formulas, character sums of Bernoulli and cotangent type,
-class numbers three ways, and machine checks of the identities tying all
-of these together.
+independent formulas, the twisted Hurwitz-zeta sum shared by the leading
+constant and the Dirichlet series check, character sums of Bernoulli and
+cotangent type, class numbers three ways, the eta products behind the
+modular-transformation check, and machine checks of the identities tying
+all of these together.
 """
 
 from __future__ import annotations
@@ -16,13 +18,11 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from mpmath.libmp import from_man_exp, round_nearest
-
 from .arith import (bernoulli_poly, dedekind_sum, divisors, is_prime,
                     legendre_symbol, ramanujan_sum, sawtooth)
 from .precision import (DEFAULT_PRECISION, PrecisionConfig,
                         VerificationError, to_mpf)
-from .series import eta_quotient_value, pcore_count
+from .series import pcore_count
 from .special import (cot_derivative, cot_polynomial, hurwitz_zeta,
                       hurwitz_zeta_neg)
 
@@ -237,9 +237,7 @@ def leading_constant(p: int, variant: str,
     r = half - 1  # = (p-3)/2
     ctx = config.context()
     if variant == "i":
-        total = ctx.fsum(legendre_symbol(j, p)
-                         * hurwitz_zeta(half, Fraction(j, p), config)
-                         for j in range(1, p))
+        total = _twisted_hurwitz_sum(p, half, config)
         return ctx.sqrt(p) * ctx.factorial(r) / (2 * ctx.pi) ** half * total
     if variant == "ii":
         total = sum(legendre_symbol(j, p) * hurwitz_zeta_neg(r, Fraction(j, p))
@@ -260,6 +258,13 @@ def leading_constant(p: int, variant: str,
             cot_derivative(r, Fraction(j * j % p, p), config)
             for j in range(1, (p - 1) // 2 + 1))
     return _quadratic_bernoulli_side(r, p)
+
+
+def _twisted_hurwitz_sum(p: int, s: int, config: PrecisionConfig):
+    # sum_j (j|p) * zeta(s, j/p) over j = 1..p-1, at the working precision
+    return config.context().fsum(legendre_symbol(j, p)
+                                 * hurwitz_zeta(s, Fraction(j, p), config)
+                                 for j in range(1, p))
 
 
 def _certified_constant(p: int, exact: Fraction) -> int:
@@ -552,12 +557,10 @@ def verify_dirichlet_series(p: int, s: int, n: int, kmax: int,
     ctx = config.context()
     W = ctx.prec + kmax.bit_length() + 4
     total = _twisted_ramanujan_sum(p, n, 1 + s, kmax, W)
-    partial = ctx.make_mpf(from_man_exp(total, -W, ctx.prec, round_nearest))
+    partial = ctx.mpf((total, -W))
     dsum = ctx.fsum(legendre_symbol(d, p) * ctx.mpf(d) ** (-s)
                     for d in divisors(n))
-    denom = ctx.fsum(legendre_symbol(j, p)
-                     * hurwitz_zeta(1 + s, Fraction(j, p), config)
-                     for j in range(1, p))
+    denom = _twisted_hurwitz_sum(p, 1 + s, config)
     closed = ctx.mpf(p) ** (1 + s) * dsum / denom
     sigma = sum(divisors(n))
     tail = sigma * float(kmax) ** (-s) / s
@@ -565,6 +568,33 @@ def verify_dirichlet_series(p: int, s: int, n: int, kmax: int,
     return DirichletSeriesReport(
         p=p, s=s, n=n, kmax=kmax, partial_sum=partial, closed_form=closed,
         deviation=deviation, tail_bound=tail, tolerance=tail + 1e-20)
+
+
+def eta_products(p: int, x, factors: int,
+                 config: PrecisionConfig = DEFAULT_PRECISION) -> tuple:
+    """The partial products A = prod (1 - x^n) and B = prod (1 - x^(pn))
+    over n = 1..factors at a point x inside the disk, in one pass, and a
+    bound on the relative truncation error of both f = B^p/A (p-core
+    counts) and H = A^p/B: expm1((p+1) * |x|^(factors+1) / (1-|x|)^2).
+    Requires |x| <= 0.95.
+    """
+    ctx = config.context()
+    z = ctx.convert(x)
+    radius = float(abs(z))
+    if radius > 0.95:
+        raise ValueError("|x| <= 0.95 required for a useful truncation bound")
+    one = ctx.mpf(1)
+    a, b = ctx.mpc(1), ctx.mpc(1)
+    zn, zpn = ctx.mpc(1), ctx.mpc(1)
+    zp = z ** p
+    for _ in range(factors):
+        zn *= z
+        zpn *= zp
+        a *= one - zn
+        b *= one - zpn
+    tail = (p + 1) * radius ** (factors + 1) / (1.0 - radius) ** 2
+    bound = math.expm1(tail) if tail < 700 else math.inf
+    return a, b, bound
 
 
 class TransformReport(NamedTuple):
@@ -593,10 +623,11 @@ def verify_eta_transform(p: int, h: int, k: int, t: float, factors: int = 400,
                          config: PrecisionConfig = DEFAULT_PRECISION) -> TransformReport:
     """Evaluate both sides of the modular transformation numerically.
 
-    The left side samples the p-core product f at e^(2*pi*i*h/k - t); the
-    right side pairs the reciprocal-argument product H at
-    e^(2*pi*i*B/k - 4*pi^2/(k^2*p*t)) with the closed-form prefactor, where
-    B*p*h = -1 mod k.  Each product keeps its first ``factors`` factors.
+    The left side samples the p-core product f = B^p/A at
+    x = e^(2*pi*i*h/k - t); the right side pairs the reciprocal-argument
+    product H = A^p/B at y = e^(2*pi*i*b/k - 4*pi^2/(k^2*p*t)) with the
+    closed-form prefactor, where b*p*h = -1 mod k.  A and B are the partial
+    products of eta_products, each over its first ``factors`` factors.
 
     The power of t in the prefactor is -(p-1)/2; the report also carries
     the deviation under the opposite-sign reading so the resolution of
@@ -616,26 +647,26 @@ def verify_eta_transform(p: int, h: int, k: int, t: float, factors: int = 400,
     half = (p - 1) // 2
 
     x = ctx.expjpi(to_mpf(ctx, Fraction(2 * h, k))) * ctx.exp(-t)
-    lhs_value = eta_quotient_value(p, x, factors, "f", config)
+    prod_n, prod_pn, lhs_bound = eta_products(p, x, factors, config)
+    lhs = prod_pn ** p / prod_n
 
     b = 0 if k == 1 else (-pow(p * h % k, -1, k)) % k
     y = ctx.expjpi(to_mpf(ctx, Fraction(2 * b, k))) \
         * ctx.exp(-4 * ctx.pi ** 2 / (k * k * p * t))
-    rhs_value = eta_quotient_value(p, y, factors, "H", config)
+    prod_n, prod_pn, rhs_bound = eta_products(p, y, factors, config)
 
     prefactor = (2 * ctx.pi / k) ** half \
         * ctx.power(p, -to_mpf(ctx, Fraction(p, 2))) * legendre_symbol(k, p)
     prefactor *= t ** (-half)
     phase = ctx.exp((p * p - 1) * t / 24) \
         * ctx.expjpi(-to_mpf(ctx, Fraction((p * p - 1) * h, 12 * k) % 2))
-    rhs = prefactor * phase * rhs_value.value
-    lhs = lhs_value.value
+    rhs = prefactor * phase * (prod_n ** p / prod_pn)
 
     scale = float(abs(lhs))
     deviation = float(abs(lhs - rhs)) / scale
     alt = rhs * t ** (p - 1)  # the opposite exponent reading, t^(+(p-1)/2)
     alt_deviation = float(abs(lhs - alt)) / scale
-    trunc = lhs_value.truncation_bound + rhs_value.truncation_bound
+    trunc = lhs_bound + rhs_bound
     return TransformReport(lhs=lhs, rhs=rhs, relative_deviation=deviation,
                            alt_exponent_deviation=alt_deviation,
                            truncation_bound=trunc, exponent=-half,

@@ -4,7 +4,8 @@ Hurwitz zeta via Euler-Maclaurin summation with an explicit error cut,
 its exact rational values at nonpositive integer arguments, the periodic
 zeta function on the unit circle from its log series, and arbitrary-order
 derivatives of the cotangent through an integer-coefficient polynomial
-recurrence.
+recurrence.  Every zeta value, the log series' coefficients included,
+comes from this module; mpmath supplies elementary functions and rounding.
 """
 
 from __future__ import annotations
@@ -13,9 +14,7 @@ import functools
 import math
 from fractions import Fraction
 
-from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_abs,
-                          mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_neg,
-                          round_nearest)
+from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_mul, round_nearest
 
 from .arith import bernoulli_number, bernoulli_poly
 from .precision import (DEFAULT_PRECISION, GUARD_DIGITS, PrecisionConfig,
@@ -181,26 +180,33 @@ def _log_series(ctx, s: int) -> tuple:
     |c_m| * pi^m falls by a factor of more than 4 from one nonzero term to
     the next, so what is dropped stays below eps/6 of ctx.
 
-    Past m = s the coefficients of the parity of s are zeta(-2n)/m! = 0,
-    so they are neither computed nor stored.  The rest runs on mpmath's
-    raw tuples, with the roundings of the mpf expressions
-    zeta(s - m) / m!, abs(c) * pi^m and pi^m * pi at the precision of
-    GUARD_DIGITS beyond ctx.
+    For m <= s-2, zeta(s-m) is hurwitz_zeta(s-m, 1) for a config
+    GUARD_DIGITS beyond the guard context (at the guard context's own
+    digits its tail cut, 10^-(digits+5), would show in the last bits) and
+    is divided by m! in the guard context.  For m >= s, n = m - s, c_m is
+    the exact zeta(-n)/m! = (-1)^n * B_(n+1) / ((n+1) * m!), rounded once;
+    those of the parity of s are zero and are neither computed nor stored.
     """
     high = _context(ctx.dps + GUARD_DIGITS)
-    prec, pi, cut = high.prec, high.pi._mpf_, (ctx.eps / 8)._mpf_
+    zeta_config = PrecisionConfig(ctx.dps + GUARD_DIGITS)
+    pi, cut = +high.pi, ctx.eps / 8
     parts = ([], [])
-    m, pi_m = 0, fone
+    m, pi_m = 0, high.one
     while True:
         if m <= s or (m - s) % 2:
-            c = fzero if m == s - 1 else mpf_div(
-                high.zeta(s - m)._mpf_, from_int(math.factorial(m)), prec,
-                round_nearest)
-            if m >= s and mpf_lt(mpf_mul(mpf_abs(c), pi_m, prec, round_nearest),
-                                 cut):
-                break
-            parts[m % 2].append(high.make_mpf(mpf_neg(c) if m % 4 >= 2 else c))
-        m, pi_m = m + 1, mpf_mul(pi_m, pi, prec, round_nearest)
+            if m <= s - 2:
+                c = high.fdiv(hurwitz_zeta(s - m, 1, zeta_config),
+                              math.factorial(m))
+            elif m == s - 1:
+                c = high.zero
+            else:
+                n = m - s
+                c = to_mpf(high, (-1) ** n * bernoulli_number(n + 1)
+                           / ((n + 1) * math.factorial(m)))
+                if abs(c) * pi_m < cut:
+                    break
+            parts[m % 2].append(-c if m % 4 >= 2 else c)
+        m, pi_m = m + 1, pi_m * pi
     harmonic = to_mpf(high, sum(Fraction(1, j) for j in range(1, s)))
     return tuple(parts[0]), tuple(parts[1]), harmonic
 

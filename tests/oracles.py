@@ -266,27 +266,6 @@ def exact(value) -> Fraction:
     return Fraction(-man if sign else man) * Fraction(2) ** exp
 
 
-def log_series_by_mpf(ctx, high, s: int) -> tuple:
-    """The coefficients (E, O) of the log series of l(s, x) as mpf
-    expressions at the precision of high: c_m = zeta(s - m)/m! with the
-    sign (-1)^(m//2), E from even m and O from odd m, zero at m = s - 1, up
-    to the first nonzero c_m with m >= s and |c_m| * pi^m < eps/8 of ctx,
-    trailing zeros dropped."""
-    cut = ctx.eps / 8
-    parts = ([], [])
-    m, pi_m = 0, high.one
-    while True:
-        c = high.zeta(s - m) / math.factorial(m) if m != s - 1 else high.zero
-        if m >= s and c and abs(c) * pi_m < cut:
-            break
-        parts[m % 2].append(-c if m % 4 >= 2 else c)
-        m, pi_m = m + 1, pi_m * high.pi
-    for part in parts:
-        while not part[-1]:
-            part.pop()
-    return tuple(parts[0]), tuple(parts[1])
-
-
 def horner(coeffs, u):
     """coeffs[0] + coeffs[1]*u + coeffs[2]*u^2 + ... as acc * u + c on
     mpf values."""
@@ -301,8 +280,8 @@ def periodic_zeta_by_mpf(ctx, high, series, s: int, x):
     expressions at the precision of high,
         E(t^2) + i*t*O(t^2) + (i*t)^(s-1)/(s-1)! * (H_{s-1} - log t + i*pi/2)
     at t = 2*pi*x, E and O by horner, rounded once to ctx.  The series is
-    passed in, so this checks its evaluation; log_series_by_mpf checks the
-    coefficients."""
+    passed in, so this checks its evaluation; tests/test_special.py checks
+    the coefficients against mpmath's zeta."""
     even, odd, harmonic = series
     x = Fraction(x)
     t = 2 * high.pi * high.fdiv(x.numerator, x.denominator)

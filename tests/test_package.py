@@ -15,7 +15,8 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("module", ["pcores.arith", "pcores.cache"])
+@pytest.mark.parametrize("module", ["pcores.arith", "pcores.cache",
+                                    "pcores.series"])
 def test_import_loads_no_other_layer(module):
     # the pure-integer layers must not pay for mpmath or the other layers
     probe = (f"import sys, json, {module}\n"

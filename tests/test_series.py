@@ -1,4 +1,4 @@
-"""Power-series engine, exact counts, and the infinite-product evaluator."""
+"""Power-series engine, exact counts, and the infinite products f and H."""
 
 from fractions import Fraction
 
@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from oracles import (PowerSeries, core_counts_by_lattice, euler_series,
                      partition_product, partition_series, partitions,
                      pcore_count_bruteforce)
+from pcores.asympt import eta_products
 from pcores.precision import DEFAULT_PRECISION
-from pcores.series import (eta_quotient_value, pcore_count, pcore_numerator,
-                           pcore_series)
+from pcores.series import pcore_count, pcore_numerator, pcore_series
 
 P100 = 190569292
 
@@ -150,11 +150,19 @@ class TestPowerSeries:
             euler_series(-1)
 
 
+def eta_quotients(p, x, factors):
+    """(f, H, bound): f = B^p/A and H = A^p/B from the partial products
+    A = prod (1-x^n) and B = prod (1-x^(pn)) of eta_products."""
+    a, b, bound = eta_products(p, x, factors)
+    return b ** p / a, a ** p / b, bound
+
+
 class TestEtaQuotientValue:
+    """The p-core quotient f and its inverse H, formed from eta_products."""
+
     def test_value_at_zero(self):
-        for which in ("f", "H"):
-            result = eta_quotient_value(5, 0, 50, which)
-            assert result.value == 1
+        f, h, _ = eta_quotients(5, 0, 50)
+        assert f == h == 1
         assert partition_product(DEFAULT_PRECISION.context(), 0, 50) == 1
 
     def test_f_is_numerator_over_f_denominator(self):
@@ -162,7 +170,7 @@ class TestEtaQuotientValue:
         # factors computed separately
         ctx = DEFAULT_PRECISION.context()
         x = ctx.mpf(3) / 10
-        f_val = eta_quotient_value(5, x, 300, "f").value
+        f_val = eta_quotients(5, x, 300)[0]
         big_f = partition_product(ctx, x, 300)
         big_f_x5 = partition_product(ctx, x ** 5, 300)
         assert abs(f_val - big_f / big_f_x5 ** 5) < 1e-50
@@ -186,25 +194,19 @@ class TestEtaQuotientValue:
                   * partition_series(nmax // p).dilate(p, nmax))
         exact = series.evaluate(Fraction(1, 10))
         ctx = DEFAULT_PRECISION.context()
-        value = eta_quotient_value(p, ctx.mpf(1) / 10, 500, "H").value
+        value = eta_quotients(p, ctx.mpf(1) / 10, 500)[1]
         gap = abs(value - ctx.mpf(exact.numerator) / exact.denominator)
         assert gap < 1e-40
 
     def test_radius_guard(self):
         with pytest.raises(ValueError):
-            eta_quotient_value(5, 0.96, 100, "f")
+            eta_products(5, 0.96, 100)
 
     def test_truncation_bound_is_honest(self):
         ctx = DEFAULT_PRECISION.context()
         x = ctx.mpf(1) / 2
-        for which in ("f", "H"):
-            shallow = eta_quotient_value(5, x, 50, which)
-            deep = eta_quotient_value(5, x, 500, which)
-            observed = abs(shallow.value - deep.value) / abs(deep.value)
-            assert observed <= shallow.truncation_bound
-
-    def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError):
-            eta_quotient_value(5, 0.1, 100, "G")
-        with pytest.raises(ValueError):  # the partition product is an oracle
-            eta_quotient_value(5, 0.1, 100, "F")
+        *shallow, bound = eta_quotients(5, x, 50)
+        *deep, _ = eta_quotients(5, x, 500)
+        for value, reference in zip(shallow, deep):  # f, then H
+            observed = abs(value - reference) / abs(reference)
+            assert observed <= bound

@@ -9,8 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pcores.special
-from oracles import (exact, hurwitz_zeta_formula, log_series_by_mpf,
-                     periodic_zeta_by_mpf)
+from oracles import exact, hurwitz_zeta_formula, periodic_zeta_by_mpf
 from pcores.precision import (DEFAULT_PRECISION, GUARD_DIGITS,
                               PrecisionConfig, PrecisionError, _context)
 from pcores.special import (_log_series, cot_derivative, cot_polynomial,
@@ -233,6 +232,14 @@ class TestHurwitzZetaNegative:
         assert hurwitz_zeta_neg(m, a) == -bernoulli_poly(m + 1, a) / (m + 1)
 
 
+def _coefficients(series):
+    """(m, c) for each stored coefficient of a log series (E, O, H): c is
+    (-1)^(m//2) * c_m, the m-th power of i*t folded into t^m."""
+    for parity, part in enumerate(series[:2]):
+        for i, c in enumerate(part):
+            yield 2 * i + parity, c
+
+
 class TestPeriodicZeta:
     def test_at_integer_phase(self):
         ctx = DEFAULT_PRECISION.context()
@@ -310,20 +317,52 @@ class TestPeriodicZeta:
 
     @pytest.mark.parametrize("digits", [20, 60, 100])
     def test_matches_mpf_expression(self, digits):
-        # the raw-tuple log series and Horner sums round where the mpf
-        # expressions do
+        # the raw-tuple Horner sums round where the mpf expressions do
         config = PrecisionConfig(digits)
         ctx = config.context()
         high = _context(ctx.dps + GUARD_DIGITS)
         for s in range(2, 9):
             series = _log_series(ctx, s)
-            assert ([[c._mpf_ for c in part] for part in series[:2]]
-                    == [[c._mpf_ for c in part]
-                        for part in log_series_by_mpf(ctx, high, s)])
             for x in {Fraction(h, q) for q in range(2, 9)
                       for h in range(1, q // 2 + 1)}:
                 expected = periodic_zeta_by_mpf(ctx, high, series, s, x)
                 assert periodic_zeta(s, x, config)._mpc_ == expected._mpc_
+
+    @pytest.mark.parametrize("digits", [20, 60, 100])
+    def test_coefficients_within_two_units_of_zeta(self, digits):
+        # each stored coefficient (-1)^(m//2) * zeta(s-m)/m! against
+        # mpmath's zeta at twice the digits, within 2 units of the last bit
+        # of the guard context that holds it
+        ctx = PrecisionConfig(digits).context()
+        high = _context(ctx.dps + GUARD_DIGITS)
+        reference = mpmath.mp.clone()
+        reference.dps = 2 * high.dps
+        for s in range(2, 13):
+            for m, c in _coefficients(_log_series(ctx, s)):
+                if m == s - 1:
+                    assert c == 0
+                    continue
+                expected = ((-1) ** (m // 2) * reference.zeta(s - m)
+                            / math.factorial(m))
+                unit = reference.ldexp(1, high.mag(c) - high.prec)
+                assert abs(c - expected) <= 2 * unit
+
+    @pytest.mark.parametrize("digits", [20, 60, 100])
+    def test_bernoulli_coefficients_correctly_rounded(self, digits):
+        # from m = s on, c_m = zeta(-n)/m! = (-1)^n * B_(n+1)/((n+1) * m!),
+        # n = m - s, is exact: each is its one correct rounding in the
+        # guard context
+        ctx = PrecisionConfig(digits).context()
+        high = _context(ctx.dps + GUARD_DIGITS)
+        for s in range(2, 13):
+            for m, c in _coefficients(_log_series(ctx, s)):
+                if m >= s:
+                    n = m - s
+                    value = ((-1) ** (m // 2 + n)
+                             * Fraction(*mpmath.bernfrac(n + 1))
+                             / ((n + 1) * math.factorial(m)))
+                    expected = high.fdiv(value.numerator, value.denominator)
+                    assert c._mpf_ == expected._mpf_
 
     def test_coefficients_keyed_on_precision(self, clear_zeta_caches):
         # a 100-digit value after a 40-digit one must not reuse 40-digit
