@@ -1,0 +1,158 @@
+#!/usr/bin/env python3
+"""Check that the tests catch a fixed list of defects in the package.
+
+Each row of MUTANTS names a file under src/pcores, a text that must occur
+in it exactly once, the text that replaces it, and the tests that must
+then fail.  For each row the script copies src/, tests/, scripts/,
+pyproject.toml and README.md into a fresh temporary directory (the tests
+read all of them, and the child processes some tests start load src/
+from beside tests/), applies the row, and runs its tests with -x.  The
+run fails if a row's text does not occur exactly once, if its tests
+still pass, or if the tests of any row fail on the unchanged copy.
+
+    python3 scripts/mutate.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "scripts", "pyproject.toml", "README.md")
+
+ASYMPT = "tests/test_asympt.py"
+
+# (file under src/pcores, exact old text, new text, tests that must fail)
+MUTANTS = (
+    ("asympt.py",
+     "            - plain.numerator * (6 * k // plain.denominator))",
+     "            - plain.numerator * (6 * k // plain.denominator) + 1)",
+     ASYMPT),
+    ("asympt.py",
+     "    dot = sum(legendre_symbol(e, p) * P[e] for e in range(1, p))",
+     "    dot = sum(P[e] for e in range(1, p))",
+     ASYMPT),
+    ("special.py",
+     "    return tuple(coeffs)",
+     "    return tuple(coeffs[:-1]) + (coeffs[-1] + 1,)",
+     ASYMPT),
+    ("asympt.py",
+     "    return [T[n] + T[n - 1] for n in range(p)]",
+     "    return [T[n] - T[n - 1] for n in range(p)]",
+     ASYMPT),
+    # _cyclotomic_integer: a dropped term of the l-term relation, its sign,
+    # a top block one short, and q one power of l short
+    ("asympt.py",
+     "                for i in range(1, l):",
+     "                for i in range(2, l):",
+     ASYMPT),
+    ("asympt.py",
+     "                    c[(j - i * N // l) % N] -= c[j]",
+     "                    c[(j - i * N // l) % N] += c[j]",
+     ASYMPT),
+    ("asympt.py",
+     "            if c[j] and j % q >= q - q // l:",
+     "            if c[j] and j % q > q - q // l:",
+     ASYMPT),
+    ("asympt.py",
+     "        while N % (q * l) == 0:",
+     "        while N % (q * l * l) == 0:",
+     ASYMPT),
+    # _twisted_ramanujan_sum: the (k|p) weight dropped, one fraction bit
+    # lost, bits = prec/2, and a 2^(9-prec) relative error on the estimate
+    ("asympt.py",
+     "                total += (legendre_symbol(k, p) * c << bits) // k ** s",
+     "                total += (c << bits) // k ** s",
+     ASYMPT),
+    ("asympt.py",
+     "                total += (legendre_symbol(k, p) * c << bits) // k ** s",
+     "                total += (legendre_symbol(k, p) * c << bits) "
+     "// k ** s >> 1 << 1",
+     ASYMPT),
+    ("asympt.py",
+     "    bits = ctx.prec + kmax.bit_length() + 4",
+     "    bits = ctx.prec // 2",
+     ASYMPT),
+    ("asympt.py",
+     "    estimate = rational * ctx.pi ** h / ctx.sqrt(p)",
+     "    estimate = rational * ctx.pi ** h / ctx.sqrt(p) "
+     "* (1 + ctx.ldexp(1, 9 - ctx.prec))",
+     ASYMPT),
+    ("special.py",
+     "    return bernoulli_number(2 * j) / math.factorial(2 * j)",
+     "    return bernoulli_number(2 * j) / math.factorial(2 * j) "
+     "* (Fraction(1001, 1000) if j == 1 else 1)",
+     "tests/test_fourier.py"),
+    # a command that prints no real number must not load mpmath
+    ("precision.py",
+     "from typing import NamedTuple\n",
+     "from typing import NamedTuple\n\nimport mpmath\n",
+     "tests/test_package.py::test_command_loads_only_what_it_runs"),
+)
+
+
+def _copy_tree(destination: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for name in COPIED:
+        source = REPO_ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, destination / name, ignore=ignore)
+        else:
+            shutil.copy2(source, destination / name)
+
+
+def _run_tests(root: Path, selection: str):
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         *selection.split()],
+        cwd=root, env=env, capture_output=True, text=True)
+
+
+def _run(label: str, selection: str, row=None) -> bool:
+    """Whether the copy, with row applied if one is given, behaves as
+    required: a mutant's tests fail, the clean tree's pass."""
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="pcores-mutant-") as directory:
+        root = Path(directory)
+        _copy_tree(root)
+        if row is not None:
+            name, old, new = row
+            path = root / "src" / "pcores" / name
+            text = path.read_text()
+            found = text.count(old)
+            if found != 1:
+                print(f"{label}: old text occurs {found} times in {name}")
+                return False
+            path.write_text(text.replace(old, new))
+        result = _run_tests(root, selection)
+    passed = result.returncode == 0
+    if row is None:
+        ok, verdict = passed, "passes" if passed else "FAILS"
+        if not passed:
+            print(result.stdout[-3000:] + result.stderr[-3000:])
+    else:
+        ok, verdict = not passed, "SURVIVED" if passed else "killed"
+    print(f"{label}: {verdict} ({selection}, "
+          f"{time.perf_counter() - start:.1f} s)", flush=True)
+    return ok
+
+
+def main() -> int:
+    start = time.perf_counter()
+    ok = True
+    for selection in dict.fromkeys(row[3] for row in MUTANTS):
+        ok &= _run("clean tree", selection)
+    for number, (name, old, new, selection) in enumerate(MUTANTS, 1):
+        ok &= _run(f"mutant {number} ({name})", selection, (name, old, new))
+    print(f"{'all mutants killed' if ok else 'FAILED'} in "
+          f"{time.perf_counter() - start:.1f} s")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,7 +3,9 @@
 Every high-precision value in this package is produced inside an mpmath
 context cloned for a specific :class:`PrecisionConfig`, so callers with
 different precision needs never share mutable global state.  Integers are
-never rounded from such values: each one is computed exactly.
+never rounded from such values: each one is computed exactly.  mpmath is
+imported where the first context is built, so a command that prints no
+real number never loads it.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from typing import NamedTuple
-
-import mpmath
 
 
 class PrecisionError(Exception):
@@ -65,17 +65,13 @@ DEFAULT_PRECISION = PrecisionConfig()
 
 @functools.lru_cache(maxsize=None)
 def _context(dps: int):
+    import mpmath
     ctx = mpmath.mp.clone()
     ctx.dps = dps
     return ctx
 
 
-def to_mpf(ctx, value):
-    """Convert exactly representable inputs to an mpf of ``ctx``.
-
-    Fractions are converted by one correctly rounded division (mpf() does
-    not accept them directly); ints, floats, and mpfs pass through mpf().
-    """
-    if isinstance(value, Fraction):
-        return ctx.fdiv(value.numerator, value.denominator)
-    return ctx.mpf(value)
+def to_mpf(ctx, value: Fraction):
+    """The Fraction ``value`` as an mpf of ``ctx``, by one correctly rounded
+    division (mpf() does not accept Fractions)."""
+    return ctx.fdiv(value.numerator, value.denominator)

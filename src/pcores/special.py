@@ -5,7 +5,9 @@ its exact rational values at nonpositive integer arguments, the periodic
 zeta function on the unit circle from its log series, and arbitrary-order
 derivatives of the cotangent through an integer-coefficient polynomial
 recurrence.  Every zeta value, the log series' coefficients included,
-comes from this module; mpmath supplies elementary functions and rounding.
+comes from this module; mpmath supplies elementary functions and rounding
+through the contexts of pcores.precision, and _horner imports its raw-tuple
+arithmetic when it runs, so importing this module loads no mpmath.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-
-from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_mul, round_nearest
 
 from .arith import bernoulli_number, bernoulli_poly
 from .precision import (DEFAULT_PRECISION, GUARD_DIGITS, PrecisionConfig,
@@ -139,7 +139,7 @@ def _hurwitz_zeta(s: int, a: Fraction, config: PrecisionConfig):
             break
         if size > previous:
             # asymptotic tail started diverging before reaching the target
-            size = ctx.make_mpf(from_man_exp(size, -W))
+            size = ctx.mpf((size, -W))
             raise PrecisionError(
                 f"Euler-Maclaurin tail for zeta({s}, {a}) stalled at "
                 f"term size {ctx.nstr(size, 5)}"
@@ -148,7 +148,7 @@ def _hurwitz_zeta(s: int, a: Fraction, config: PrecisionConfig):
         rising *= (s + 2 * j - 1) * (s + 2 * j)
         num, den = num * q * q, den * X * X
         j += 1
-    return ctx.make_mpf(from_man_exp(total, -W, prec, round_nearest))
+    return ctx.mpf((total, -W))
 
 
 hurwitz_zeta.cache_info = _hurwitz_zeta.cache_info
@@ -215,6 +215,7 @@ def _horner(ctx, coeffs, u):
     """coeffs[0] + coeffs[1]*u + coeffs[2]*u^2 + ... by Horner's rule, for
     mpf coefficients and u, on mpmath's raw tuples: each product and each
     sum rounded once at the precision of ctx, as acc * u + c rounds."""
+    from mpmath.libmp import fzero, mpf_add, mpf_mul, round_nearest
     prec, u, acc = ctx.prec, u._mpf_, fzero
     for c in reversed(coeffs):
         acc = mpf_add(mpf_mul(acc, u, prec, round_nearest), c._mpf_, prec,

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from pcores import asympt
 from pcores.asympt import leading_constant
 from pcores.cli import run_cli
 
@@ -224,6 +225,99 @@ class TestVerifySubcommands:
         code, out, _ = run(capsys, "verify", "dirichlet-series", "--p", "5",
                            "--kmax", "1500")
         assert code == 0
+
+    def test_divisibility_short_of_the_first_failure(self, capsys):
+        # r = 20, where p = 7 first gives a non-integer, is not scanned
+        code, out, err = run(capsys, "verify", "divisibility", "--p", "7",
+                             "--rmax", "5")
+        assert (code, err) == (0, "")
+        assert "first_non_integer: none" in out.splitlines()
+        assert "first_failure_holds: none" in out.splitlines()
+        assert out.endswith("pass: true\n")
+
+
+def altered(name, change, when=lambda *args: True):
+    """asympt's function ``name`` with ``change`` applied to each value
+    whose arguments satisfy ``when``."""
+    original = getattr(asympt, name)
+
+    def wrong(*args):
+        value = original(*args)
+        return change(value) if when(*args) else value
+
+    return wrong
+
+
+class TestFailingChecks:
+    """Every check fails, with exit 1, once one ingredient is wrong."""
+
+    def run_failing(self, capsys, *argv):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert doc["pass"] is False
+        return doc["values"]
+
+    def run_raising(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        doc = json.loads(err)
+        assert doc["error"] == "verification"
+        return doc["message"]
+
+    def test_ramanujan_identity_counterexample(self, capsys, monkeypatch):
+        monkeypatch.setattr(asympt, "ramanujan_sum",
+                            altered("ramanujan_sum", lambda c: c + 1))
+        values = self.run_failing(capsys, "verify", "ramanujan-identity",
+                                  "--p", "5", "--kmax", "3", "--nmax", "2")
+        assert len(values["counterexamples"]) == values["checked"] == 9
+        assert all(row["sum"] != row["expected"]
+                   for row in values["counterexamples"])
+
+    def test_dedekind_parity_non_integer(self, capsys, monkeypatch):
+        monkeypatch.setattr(asympt, "_phase_6k",
+                            altered("_phase_6k", lambda phase: phase + 1))
+        values = self.run_failing(capsys, "verify", "dedekind-parity",
+                                  "--p", "5", "--kmax", "6")
+        reasons = {row["reason"] for row in values["counterexamples"]}
+        assert reasons == {"non-integer"}
+        assert len(values["counterexamples"]) == values["checked"]
+
+    def test_dedekind_parity_wrong_parity(self, capsys, monkeypatch):
+        # (k|5) = -1 for k = 2 and 3, whose deltas must then be odd
+        monkeypatch.setattr(asympt, "legendre_symbol", lambda a, p: 1)
+        values = self.run_failing(capsys, "verify", "dedekind-parity",
+                                  "--p", "5", "--kmax", "4")
+        assert {(row["k"], row["reason"])
+                for row in values["counterexamples"]} == {(2, "parity"),
+                                                          (3, "parity")}
+
+    def test_divisibility_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(asympt, "bernoulli_char_sum",
+                            altered("bernoulli_char_sum", lambda v: v + 1))
+        values = self.run_failing(capsys, "verify", "divisibility",
+                                  "--p", "7", "--rmax", "5")
+        assert values["divisibility_holds"] is False
+        assert values["first_failure_holds"] is None
+
+    def test_class_number_routes_disagree(self, capsys, monkeypatch):
+        monkeypatch.setattr(asympt, "quadratic_sawtooth_sum",
+                            altered("quadratic_sawtooth_sum",
+                                    lambda v: v + 1))
+        message = self.run_raising(capsys, "classnum", "--p", "7")
+        assert "class-number methods disagree for p=7" in message
+
+    @pytest.mark.parametrize("variant, factor, message", [
+        ("i", -1, "not positive"),   # the Hurwitz-zeta variant negated
+        ("ii", 2, "variant ii for p=7 off consensus"),
+    ])
+    def test_leading_constant_variant_off(self, capsys, monkeypatch,
+                                          variant, factor, message):
+        monkeypatch.setattr(asympt, "leading_constant",
+                            altered("leading_constant", lambda c: c * factor,
+                                    lambda p, v, config: v == variant))
+        assert message in self.run_raising(capsys, "cp", "--p", "7")
 
 
 class TestUsageErrors:

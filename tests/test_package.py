@@ -16,9 +16,10 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("module", ["pcores.arith", "pcores.cache",
-                                    "pcores.series"])
+                                    "pcores.precision", "pcores.series"])
 def test_import_loads_no_other_layer(module):
-    # the pure-integer layers must not pay for mpmath or the other layers
+    # the pure-integer layers, and precision until a context is built, must
+    # not pay for mpmath or the other layers
     probe = (f"import sys, json, {module}\n"
              "print(json.dumps(sorted(name for name in sys.modules\n"
              "    if name.split('.')[0] in ('mpmath', 'pcores'))))")
@@ -30,22 +31,48 @@ def test_import_loads_no_other_layer(module):
 
 
 # Modules that only some commands need: dataclasses (with inspect) in none,
-# hashlib (with OpenSSL's _hashlib) only under --cache, pcores.fourier only in
-# verify fft.
+# hashlib (with OpenSSL's _hashlib) only under --cache, mpmath only in the
+# commands that print a real number, pcores.fourier only in verify fft.
 OPTIONAL_MODULES = ("dataclasses", "inspect", "hashlib", "_hashlib",
-                    "pcores.fourier")
+                    "mpmath", "pcores.fourier")
 
-
-@pytest.mark.parametrize("argv, loaded", [
-    (["classnum", "--p", "7"], []),
-    (["approx", "--p", "17", "--n", "100000", "--method", "singular"], []),
+# One case per COMMANDS row.  A command that computes in integers alone
+# builds no mpmath context, so it loads no mpmath.
+LOAD_CASES = [
+    (["classnum", "--p", "199"], []),
+    (["approx", "--p", "17", "--n", "100000", "--method", "singular"],
+     ["mpmath"]),
     (["verify", "fft", "--kmax", "2", "--rmax", "1", "--smax", "2",
-      "--pmax", "3", "--grids", "2", "--grid-kmax", "2"], ["pcores.fourier"]),
+      "--pmax", "3", "--grids", "2", "--grid-kmax", "2"],
+     ["mpmath", "pcores.fourier"]),
     (["count", "--p", "5", "--n", "10", "--cache", "CACHE"],
      ["_hashlib", "hashlib"]),
-])
+    (["series", "--p", "5", "--max-n", "10"], []),
+    (["cp", "--p", "5"], ["mpmath"]),
+    (["trig", "--r", "8", "--p", "97"], []),
+    (["verify", "ramanujan-identity", "--p", "13", "--kmax", "15",
+      "--nmax", "15"], []),
+    (["verify", "dedekind-parity", "--p", "13", "--kmax", "60"], []),
+    (["verify", "dirichlet-series", "--p", "7", "--s", "3", "--n", "12",
+      "--kmax", "100"], ["mpmath"]),
+    (["verify", "eta-transform", "--p", "7", "--h", "1", "--k", "6",
+      "--t", "0.217"], ["mpmath"]),
+    (["verify", "trig-identity", "--r", "4", "--p", "43"], []),
+    (["verify", "divisibility", "--p", "7", "--rmax", "5"], []),
+]
+
+
+def _command_name(argv):
+    return " ".join(argv[:2]) if argv[0] == "verify" else argv[0]
+
+
+@pytest.mark.parametrize("argv, loaded", LOAD_CASES)
 def test_command_loads_only_what_it_runs(tmp_path, argv, loaded):
-    # the modules a command adds to those the interpreter starts with
+    # the modules a command adds to those the interpreter starts with; a
+    # COMMANDS row without a case fails every case
+    from pcores.cli import COMMANDS
+    assert sorted(_command_name(case) for case, _ in LOAD_CASES) == sorted(
+        command.name for command in COMMANDS)
     argv = [str(tmp_path / "cache.jsonl") if a == "CACHE" else a
             for a in argv]
     probe = ("import json, sys\n"
@@ -60,28 +87,6 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, loaded):
     code, added = json.loads(result.stdout.splitlines()[-1])
     assert code == 0
     assert [name for name in added if name in OPTIONAL_MODULES] == loaded
-
-
-@pytest.mark.parametrize("argv", [
-    ["trig", "--r", "8", "--p", "97"],
-    ["classnum", "--p", "199"],
-    ["verify", "trig-identity", "--r", "4", "--p", "43"],
-    ["verify", "ramanujan-identity", "--p", "13", "--kmax", "15",
-     "--nmax", "15"],
-])
-def test_exact_command_builds_no_mpmath_context(argv):
-    # these commands compute in integers alone, whatever --prec says
-    probe = ("import json, sys\n"
-             "from pcores import precision\n"
-             "from pcores.cli import run_cli\n"
-             "code = run_cli(sys.argv[1:])\n"
-             "print(json.dumps([code, precision._context.cache_info()"
-             ".currsize]))")
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    result = subprocess.run([sys.executable, "-c", probe, *argv],
-                            capture_output=True, text=True, env=env)
-    assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout.splitlines()[-1]) == [0, 0]
 
 
 def test_readme_library_example():
