@@ -25,6 +25,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "scripts", "pyproject.toml", "README.md")
 
 ASYMPT = "tests/test_asympt.py"
+CLI = "tests/test_cli.py"
 
 # (file under src/pcores, exact old text, new text, tests that must fail)
 MUTANTS = (
@@ -92,6 +93,19 @@ MUTANTS = (
      "from typing import NamedTuple\n",
      "from typing import NamedTuple\n\nimport mpmath\n",
      "tests/test_package.py::test_command_loads_only_what_it_runs"),
+    # the verify reports' one renderer: a failed check printed as passing,
+    # and the residuals left among the values as well
+    ("cli.py",
+     "    return values, {key: values.pop(key) for key in residuals}, "
+     "report.passed",
+     "    return values, {key: values.pop(key) for key in residuals}, True",
+     CLI),
+    ("cli.py",
+     "    return values, {key: values.pop(key) for key in residuals}, "
+     "report.passed",
+     "    return values, {key: values[key] for key in residuals}, "
+     "report.passed",
+     CLI),
 )
 
 

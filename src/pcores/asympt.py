@@ -235,8 +235,8 @@ def leading_constant(p: int, variant: str,
         raise ValueError(f"variant must be one of {VARIANTS}")
     half = (p - 1) // 2
     r = half - 1  # = (p-3)/2
-    ctx = config.context()
     if variant == "i":
+        ctx = config.context()
         total = _twisted_hurwitz_sum(p, half, config)
         return ctx.sqrt(p) * ctx.factorial(r) / (2 * ctx.pi) ** half * total
     if variant == "ii":
@@ -244,6 +244,7 @@ def leading_constant(p: int, variant: str,
                     for j in range(1, p))
         return Fraction(legendre_symbol(-2, p), 2) * p ** half * total
     if variant == "iii":
+        ctx = config.context()
         total = ctx.fsum(legendre_symbol(j, p)
                          * cot_derivative(r, Fraction(j, p), config)
                          for j in range(1, p))
@@ -254,6 +255,7 @@ def leading_constant(p: int, variant: str,
     if p % 4 != 3:
         raise ValueError("variants v and vi require p = 3 mod 4")
     if variant == "v":
+        ctx = config.context()
         return ctx.sqrt(p) / 2 ** (r + 1) * ctx.fsum(
             cot_derivative(r, Fraction(j * j % p, p), config)
             for j in range(1, (p - 1) // 2 + 1))
@@ -448,8 +450,6 @@ def class_number(p: int, method: str = "all") -> int:
 class ConjectureReport(NamedTuple):
     """Result of an exhaustive parameter sweep of one identity."""
 
-    name: str
-    parameters: dict
     checked: int
     counterexamples: list
 
@@ -477,10 +477,7 @@ def verify_ramanujan_identity(p: int, kmax: int, nmax: int) -> ConjectureReport:
             if value != expected:
                 counterexamples.append(
                     {"k": k, "n": n, "sum": value, "expected": expected})
-    return ConjectureReport(
-        name="ramanujan-identity",
-        parameters={"p": p, "kmax": kmax, "nmax": nmax},
-        checked=checked, counterexamples=counterexamples)
+    return ConjectureReport(checked, counterexamples)
 
 
 def verify_dedekind_parity(p: int, kmax: int) -> ConjectureReport:
@@ -511,23 +508,17 @@ def verify_dedekind_parity(p: int, kmax: int) -> ConjectureReport:
             elif (delta % 2 == 0) != even_expected:
                 counterexamples.append(
                     {"k": k, "h": h, "reason": "parity", "delta": delta})
-    return ConjectureReport(
-        name="dedekind-parity", parameters={"p": p, "kmax": kmax},
-        checked=checked, counterexamples=counterexamples)
+    return ConjectureReport(checked, counterexamples)
 
 
 class DirichletSeriesReport(NamedTuple):
     """Partial Dirichlet series against its closed form, with a tail bound."""
 
-    p: int
-    s: int
-    n: int
-    kmax: int
     partial_sum: object
     closed_form: object
-    deviation: float
     tail_bound: float
     tolerance: float
+    deviation: float
 
     @property
     def passed(self) -> bool:
@@ -566,8 +557,8 @@ def verify_dirichlet_series(p: int, s: int, n: int, kmax: int,
     tail = sigma * float(kmax) ** (-s) / s
     deviation = float(abs(partial - closed))
     return DirichletSeriesReport(
-        p=p, s=s, n=n, kmax=kmax, partial_sum=partial, closed_form=closed,
-        deviation=deviation, tail_bound=tail, tolerance=tail + 1e-20)
+        partial_sum=partial, closed_form=closed, tail_bound=tail,
+        tolerance=tail + 1e-20, deviation=deviation)
 
 
 def eta_products(p: int, x, factors: int,
@@ -602,11 +593,11 @@ class TransformReport(NamedTuple):
 
     lhs: object
     rhs: object
-    relative_deviation: float
-    alt_exponent_deviation: float
-    truncation_bound: float
     exponent: int
+    truncation_bound: float
+    alt_exponent_deviation: float
     tolerance: float
+    relative_deviation: float
 
     @property
     def passed(self) -> bool:
@@ -667,21 +658,20 @@ def verify_eta_transform(p: int, h: int, k: int, t: float, factors: int = 400,
     alt = rhs * t ** (p - 1)  # the opposite exponent reading, t^(+(p-1)/2)
     alt_deviation = float(abs(lhs - alt)) / scale
     trunc = lhs_bound + rhs_bound
-    return TransformReport(lhs=lhs, rhs=rhs, relative_deviation=deviation,
+    return TransformReport(lhs=lhs, rhs=rhs, exponent=-half,
+                           truncation_bound=trunc,
                            alt_exponent_deviation=alt_deviation,
-                           truncation_bound=trunc, exponent=-half,
-                           tolerance=_TRANSFORM_TOLERANCE)
+                           tolerance=_TRANSFORM_TOLERANCE,
+                           relative_deviation=deviation)
 
 
 class TrigIdentityReport(NamedTuple):
     """Cotangent side vs Bernoulli side of the quadratic-argument identity."""
 
-    r: int
-    p: int
-    lhs: Fraction
-    rhs: Fraction
-    magnitude_match: bool
+    cotangent_side: Fraction
+    bernoulli_side: Fraction
     relative_sign: int
+    magnitude_match: bool
 
     @property
     def passed(self) -> bool:
@@ -706,22 +696,12 @@ def verify_quadratic_trig_identity(r: int, p: int) -> TrigIdentityReport:
         raise ValueError("need gcd(p, r+1) = 1")
     lhs = _cot_sum(r, p, residues=True) / 2 ** (r + 1)
     rhs = _quadratic_bernoulli_side(r, p)
-    magnitude_match = rhs.denominator == 1 and abs(lhs) == abs(rhs)
     lhs_sign = 1 if lhs > 0 else (-1 if lhs < 0 else 0)
     rhs_sign = 1 if rhs > 0 else (-1 if rhs < 0 else 0)
-    return TrigIdentityReport(r=r, p=p, lhs=lhs, rhs=rhs,
-                              magnitude_match=magnitude_match,
-                              relative_sign=lhs_sign * rhs_sign)
-
-
-class DivisibilityRow(NamedTuple):
-    r: int
-    value: Fraction
-    is_integer: bool
-    is_zero: bool
-    exempt: bool
-    coprime: bool
-    divisible: bool | None
+    return TrigIdentityReport(
+        cotangent_side=lhs, bernoulli_side=rhs,
+        relative_sign=lhs_sign * rhs_sign,
+        magnitude_match=rhs.denominator == 1 and abs(lhs) == abs(rhs))
 
 
 class DivisibilityReport(NamedTuple):
@@ -730,17 +710,19 @@ class DivisibilityReport(NamedTuple):
     Expected pattern: on nonzero integer entries with gcd(p, r+1) = 1 the
     value is divisible by p except on the residue class
     r = (p-3)/2 mod (p-1); the first non-integer value appears at
-    r = p(p-1)/2 - 1.
+    r = p(p-1)/2 - 1.  Each row is a dict of r and its value's flags.
     """
 
-    p: int
-    rmax: int
-    rows: list
     first_non_integer: int | None
     expected_first_non_integer: int
     divisibility_holds: bool
     first_failure_holds: bool | None
-    passed: bool
+    rows: list
+
+    @property
+    def passed(self) -> bool:
+        return (self.divisibility_holds
+                and self.first_failure_holds is not False)
 
 
 def divisibility_scan(p: int, rmax: int) -> DivisibilityReport:
@@ -754,23 +736,17 @@ def divisibility_scan(p: int, rmax: int) -> DivisibilityReport:
     divisibility_holds = True
     for r in range(1, rmax + 1):
         value = bernoulli_char_sum(r, p)
-        is_integer = value.denominator == 1
-        row = DivisibilityRow(
-            r=r, value=value, is_integer=is_integer, is_zero=value == 0,
-            exempt=r % (p - 1) == exempt_residue,
-            coprime=gcd(p, r + 1) == 1,
-            divisible=value.numerator % p == 0 if is_integer else None)
+        integer = value.denominator == 1
+        row = {"r": r, "integer": integer, "zero": value == 0,
+               "exempt": r % (p - 1) == exempt_residue,
+               "divisible": value.numerator % p == 0 if integer else None}
         rows.append(row)
-        if not is_integer and first_non_integer is None:
+        if not integer and first_non_integer is None:
             first_non_integer = r
-        if (is_integer and not row.is_zero and row.coprime and not row.exempt
-                and not row.divisible):
+        if (integer and not row["zero"] and gcd(p, r + 1) == 1
+                and not row["exempt"] and not row["divisible"]):
             divisibility_holds = False
     first_failure_holds = (first_non_integer == expected
                            if rmax >= expected else None)
-    return DivisibilityReport(
-        p=p, rmax=rmax, rows=rows, first_non_integer=first_non_integer,
-        expected_first_non_integer=expected,
-        divisibility_holds=divisibility_holds,
-        first_failure_holds=first_failure_holds,
-        passed=divisibility_holds and first_failure_holds is not False)
+    return DivisibilityReport(first_non_integer, expected, divisibility_holds,
+                              first_failure_holds, rows)

@@ -58,6 +58,19 @@ def _number_str(value, config: PrecisionConfig) -> str:
     return ctx.nstr(ctx.convert(value), config.decimal_digits)
 
 
+_JSON_TYPES = (bool, int, float, str, list, dict, type(None))
+
+
+def _report(report, config: PrecisionConfig, *residuals):
+    """(values, residuals, passed) of a verify report, whose fields are
+    what its command prints, in order; the named fields are residuals.
+    Fractions and mp values print as _number_str gives them."""
+    values = {key: value if isinstance(value, _JSON_TYPES)
+              else _number_str(value, config)
+              for key, value in report._asdict().items()}
+    return values, {key: values.pop(key) for key in residuals}, report.passed
+
+
 def _require_prime(p: int) -> None:
     if p < 2 or not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -135,39 +148,23 @@ def _classnum(args, config):
 
 
 def _ramanujan_identity(args, config):
-    report = verify_ramanujan_identity(args.p, args.kmax, args.nmax)
-    values = {"checked": report.checked,
-              "counterexamples": report.counterexamples}
-    return values, {}, report.passed
+    return _report(verify_ramanujan_identity(args.p, args.kmax, args.nmax),
+                   config)
 
 
 def _dedekind_parity(args, config):
-    report = verify_dedekind_parity(args.p, args.kmax)
-    values = {"checked": report.checked,
-              "counterexamples": report.counterexamples}
-    return values, {}, report.passed
+    return _report(verify_dedekind_parity(args.p, args.kmax), config)
 
 
 def _dirichlet_series(args, config):
-    report = verify_dirichlet_series(args.p, args.s, args.n, args.kmax, config)
-    values = {"partial_sum": _number_str(report.partial_sum, config),
-              "closed_form": _number_str(report.closed_form, config),
-              "tail_bound": report.tail_bound,
-              "tolerance": report.tolerance}
-    return values, {"deviation": report.deviation}, report.passed
+    return _report(verify_dirichlet_series(args.p, args.s, args.n, args.kmax,
+                                           config), config, "deviation")
 
 
 def _eta_transform(args, config):
-    report = verify_eta_transform(args.p, args.h, args.k, args.t,
-                                  args.factors, config)
-    values = {"lhs": _number_str(report.lhs, config),
-              "rhs": _number_str(report.rhs, config),
-              "exponent": report.exponent,
-              "truncation_bound": report.truncation_bound,
-              "alt_exponent_deviation": report.alt_exponent_deviation,
-              "tolerance": report.tolerance}
-    residuals = {"relative_deviation": report.relative_deviation}
-    return values, residuals, report.passed
+    return _report(verify_eta_transform(args.p, args.h, args.k, args.t,
+                                        args.factors, config),
+                   config, "relative_deviation")
 
 
 def _fft(args, config):
@@ -188,12 +185,7 @@ def _fft(args, config):
 
 
 def _trig_identity(args, config):
-    report = verify_quadratic_trig_identity(args.r, args.p)
-    values = {"cotangent_side": str(report.lhs),
-              "bernoulli_side": str(report.rhs),
-              "relative_sign": report.relative_sign,
-              "magnitude_match": report.magnitude_match}
-    return values, {}, report.passed
+    return _report(verify_quadratic_trig_identity(args.r, args.p), config)
 
 
 def _divisibility_parameters(parameters):
@@ -204,16 +196,7 @@ def _divisibility_parameters(parameters):
 
 
 def _divisibility(args, config):
-    report = divisibility_scan(args.p, args.rmax)
-    rows = [{"r": row.r, "integer": row.is_integer, "zero": row.is_zero,
-             "exempt": row.exempt, "divisible": row.divisible}
-            for row in report.rows]
-    values = {"first_non_integer": report.first_non_integer,
-              "expected_first_non_integer": report.expected_first_non_integer,
-              "divisibility_holds": report.divisibility_holds,
-              "first_failure_holds": report.first_failure_holds,
-              "rows": rows}
-    return values, {}, report.passed
+    return _report(divisibility_scan(args.p, args.rmax), config)
 
 
 class Command(NamedTuple):

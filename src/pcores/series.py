@@ -7,7 +7,6 @@ beside their one check, in pcores.asympt.
 
 from __future__ import annotations
 
-import functools
 from math import comb
 
 
@@ -36,7 +35,6 @@ def pcore_numerator(p: int, nmax: int) -> list[int]:
     return c
 
 
-@functools.lru_cache(maxsize=64)
 def pcore_series(p: int, nmax: int) -> tuple[int, ...]:
     """Counts of partitions with no hook length divisible by p, 0..nmax.
 

@@ -470,13 +470,13 @@ class TestTrigIdentity:
     def test_r2_p7(self):
         report = verify_quadratic_trig_identity(2, 7)
         assert report.passed
-        assert abs(report.lhs) == 8
+        assert abs(report.cotangent_side) == 8
         assert report.relative_sign == -1
 
     def test_r2_p11_magnitude(self):
         report = verify_quadratic_trig_identity(2, 11)
         assert report.passed
-        assert abs(report.lhs) == abs(bernoulli_char_sum(2, 11))
+        assert abs(report.cotangent_side) == abs(bernoulli_char_sum(2, 11))
 
     def test_sides_equal_below_200(self):
         # the cotangent side is exact: equal to the Bernoulli companion,
@@ -487,7 +487,8 @@ class TestTrigIdentity:
                     if math.gcd(p, r + 1) == 1:
                         report = verify_quadratic_trig_identity(r, p)
                         assert report.passed, (r, p)
-                        assert report.lhs == -report.rhs, (r, p)
+                        assert (report.cotangent_side
+                                == -report.bernoulli_side), (r, p)
 
     def test_irrational_side_raises(self, monkeypatch):
         # a constant term in f_2 adds a multiple of sqrt(p) to the
@@ -523,11 +524,11 @@ class TestDivisibilityScan:
 
     def test_divisible_rows(self):
         report = divisibility_scan(7, 10)
-        by_r = {row.r: row for row in report.rows}
+        by_r = {row["r"]: row for row in report.rows}
         # r=4: T(4,7) nonzero integer, not exempt, so divisible by 7
-        assert by_r[4].divisible is True
+        assert by_r[4]["divisible"] is True
         # r=2 sits on the exempt residue class (p-3)/2 = 2
-        assert by_r[2].exempt
+        assert by_r[2]["exempt"]
 
     def test_short_scan_leaves_question_open(self):
         report = divisibility_scan(5, 5)

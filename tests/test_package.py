@@ -89,15 +89,8 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, loaded):
     assert [name for name in added if name in OPTIONAL_MODULES] == loaded
 
 
-@pytest.mark.parametrize("argv", [
-    ["trig", "--r", "8", "--p", "97"],
-    ["classnum", "--p", "199"],
-    ["verify", "trig-identity", "--r", "4", "--p", "43"],
-    ["verify", "ramanujan-identity", "--p", "13", "--kmax", "15",
-     "--nmax", "15"],
-])
-def test_exact_command_builds_no_mpmath_context(argv):
-    # these commands compute in integers alone, whatever --prec says
+def _contexts_built(argv):
+    # [exit code, mpmath contexts built] of one command in a fresh process
     probe = ("import json, sys\n"
              "from pcores import precision\n"
              "from pcores.cli import run_cli\n"
@@ -108,7 +101,27 @@ def test_exact_command_builds_no_mpmath_context(argv):
     result = subprocess.run([sys.executable, "-c", probe, *argv],
                             capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout.splitlines()[-1]) == [0, 0]
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", [
+    ["trig", "--r", "8", "--p", "97"],
+    ["classnum", "--p", "199"],
+    ["verify", "trig-identity", "--r", "4", "--p", "43"],
+    ["verify", "ramanujan-identity", "--p", "13", "--kmax", "15",
+     "--nmax", "15"],
+    ["cp", "--p", "7", "--variant", "iv"],
+])
+def test_exact_command_builds_no_mpmath_context(argv):
+    # these commands compute in integers alone, whatever --prec says
+    assert _contexts_built(argv) == [0, 0]
+
+
+def test_divisor_estimate_builds_one_context():
+    # the exact leading constant behind the estimate needs no context of
+    # its own, so only the one at --prec is built
+    assert _contexts_built(["approx", "--p", "17", "--n", "1000",
+                            "--method", "divisor", "--prec", "40"]) == [0, 1]
 
 
 def test_readme_library_example():
