@@ -11,6 +11,7 @@ depths, reporting agreement digit counts and relative errors.
 import argparse
 
 from pcores.asympt import approx_divisor_sum, approx_singular_series
+from pcores.precision import DEFAULT_PRECISION, PrecisionConfig, decimal_str
 from pcores.series import pcore_count
 
 
@@ -40,7 +41,10 @@ def main() -> None:
 
     divisor = approx_divisor_sum(p, n, with_exact=False)
     est = float(divisor.estimate)
-    print(f"divisor-sum estimate   = {divisor.estimate}")
+    # to all the working digits of the default precision
+    every_digit = PrecisionConfig(DEFAULT_PRECISION.working_dps)
+    print("divisor-sum estimate   = "
+          f"{decimal_str(divisor.estimate, every_digit)}")
     print(f"  divisor sum {divisor.divisor_sum} / constant {divisor.constant}")
     print(f"  relative error {relative_error(exact, divisor.estimate):.3e}, "
           f"{agreeing_digits(exact, est)}/{digits} leading digits agree\n")

@@ -90,8 +90,9 @@ def sawtooth(x) -> Fraction:
     return x - (x.numerator // x.denominator) - Fraction(1, 2)
 
 
-def dedekind_sum(h: int, k: int) -> Fraction:
-    """Dedekind sum s(h,k) = sum_{j=1}^{k-1} ((j/k))((jh/k)), exactly.
+def dedekind_sum(h: int, k: int) -> int:
+    """12k * s(h,k) for the Dedekind sum s(h,k) = sum_{j=1}^{k-1}
+    ((j/k))((jh/k)), an even integer (6k * s(h,k) is an integer).
 
     Requires gcd(h,k) = 1.  O(log k) integer steps: the reciprocity descent
     along the Euclidean algorithm r_0 = k, r_1 = h, ..., r_n = 1 with
@@ -110,7 +111,7 @@ def dedekind_sum(h: int, k: int) -> Fraction:
         sign = -sign
         r_prev, r, y_prev, y = r, rest, y, y_prev - a * y
     # now r_prev = 1 = x*k + y_prev*h
-    return Fraction(k * quotients + h + y_prev, 12 * k)
+    return k * quotients + h + y_prev
 
 
 def ramanujan_sum(k: int, n: int) -> int:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .arith import (bernoulli_poly, dedekind_sum, divisors, is_prime,
                     legendre_symbol, ramanujan_sum, sawtooth)
 from .precision import (DEFAULT_PRECISION, PrecisionConfig,
-                        VerificationError, to_mpf)
+                        VerificationError, pi_fixed, round_binary, to_mpf)
 from .series import pcore_count
 from .special import (cot_derivative, cot_polynomial, hurwitz_zeta,
                       hurwitz_zeta_neg)
@@ -46,11 +46,8 @@ def _shift(p: int) -> int:
 
 
 def _phase_6k(p: int, h: int, k: int) -> int:
-    # 6k * (p*s(p*h mod k, k) - s(h,k)); 6k * s(., k) is an integer
-    twisted = dedekind_sum(p * h % k, k)
-    plain = dedekind_sum(h, k)
-    return (p * twisted.numerator * (6 * k // twisted.denominator)
-            - plain.numerator * (6 * k // plain.denominator))
+    # 6k * (p*s(p*h mod k, k) - s(h,k)), from the even integers 12k * s(., k)
+    return (p * dedekind_sum(p * h % k, k) - dedekind_sum(h, k)) // 2
 
 
 def _exact_int(value: Fraction, what: str) -> int:
@@ -126,7 +123,7 @@ class ApproxReport(NamedTuple):
     p: int
     n: int
     method: str
-    estimate: object
+    estimate: Fraction
     kmax: int | None = None
     exact: int | None = None
     relative_error: float | None = None
@@ -134,14 +131,13 @@ class ApproxReport(NamedTuple):
     constant: int | None = None
 
 
-def _with_exact(report: ApproxReport, config: PrecisionConfig) -> ApproxReport:
+def _with_exact(report: ApproxReport) -> ApproxReport:
     if report.n > _EXACT_CUTOFF:
         return report
     exact = pcore_count(report.p, report.n)
     relative_error = None
     if exact:
-        gap = abs(config.context().convert(report.estimate) - exact)
-        relative_error = float(gap / exact)
+        relative_error = float(abs(report.estimate - exact) / exact)
     return report._replace(exact=exact, relative_error=relative_error)
 
 
@@ -156,31 +152,37 @@ def approx_singular_series(p: int, n: int, kmax: int,
     A_k = exp_sum(p, k, n) is taken from its closed form, the twisted
     Ramanujan sum (k|p) * c_k(N) (Anderson, 2008).  That is R * pi^h /
     sqrt(p) for the rational R = S * 2^h * N^(h-1) / ((h-1)! * p^h),
-    S = sum_k (k|p) * c_k(N) / k^h.  S is one fixed-point integer sum,
-    within 2^-(prec+4) of S for the working precision of prec bits; R is
-    rounded once and multiplied by pi^h / sqrt(p).  So the estimate is
-    within a relative (h+6) * 2^-prec of the truncated series: h for pi's
-    rounding raised to the h-th power, one each for the five other
-    roundings, and one for the cut of S, since S > 1/16 (S > 1/2 for
-    h >= 3, as |c_k| < k; for p = 5 the least S found, at kmax <= 1000
-    and 3300 values of N, is 0.247).
+    S = sum_k (k|p) * c_k(N) / k^h.  For the working precision of prec
+    bits, S is one fixed-point integer sum within 2^-(prec+5) of S, and so
+    within a relative 2^-(prec+1), since S > 1/16 (S > 1/2 for h >= 3, as
+    |c_k| < k; for p = 5 the least S found, at kmax <= 1000 and 3300
+    values of N, is 0.247).  pi^h / sqrt(p) is taken in fixed point with F
+    = prec + bit_length(h+1) + 2 fraction bits: pi within two units
+    (relative 2^-F) raised to the h-th power, one truncated shift,
+    isqrt's sqrt(p) and one truncated quotient put it within a relative
+    (2h+2) * 2^-F <= 2^-(prec+1).  The product is rounded once to prec bits, so the
+    estimate is within a relative 2^-prec of that fixed-point value, which
+    is within a relative 2^-prec of the truncated series.
     """
     _require_p(p)
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    ctx = config.context()
+    prec = config.working_bits
     h = (p - 1) // 2
     shifted = n + _shift(p)
-    bits = ctx.prec + kmax.bit_length() + 4
+    bits = prec + kmax.bit_length() + 5
     total = _twisted_ramanujan_sum(p, shifted, h, kmax, bits)
-    rational = ctx.fdiv(total * 2 ** h * shifted ** (h - 1),
-                        math.factorial(h - 1) * p ** h << bits)
-    estimate = rational * ctx.pi ** h / ctx.sqrt(p)
+    F = prec + (h + 1).bit_length() + 2
+    # pi^h / sqrt(p) * 2^F
+    power = (pi_fixed(F) ** h >> (h - 2) * F) // math.isqrt(p << 2 * F)
+    estimate = round_binary(
+        Fraction(total * 2 ** h * shifted ** (h - 1) * power,
+                 math.factorial(h - 1) * p ** h << bits + F), prec)
     report = ApproxReport(p=p, n=n, method="singular", estimate=estimate,
                           kmax=kmax)
-    return _with_exact(report, config) if with_exact else report
+    return _with_exact(report) if with_exact else report
 
 
 def approx_divisor_sum(p: int, n: int,
@@ -192,7 +194,8 @@ def approx_divisor_sum(p: int, n: int,
 
     divided by the integer leading constant, taken from its exact
     Bernoulli formula (variant iv) alone; leading_constant_report
-    reconciles all six formulas."""
+    reconciles all six formulas.  The estimate is D/C rounded once to the
+    working precision."""
     _require_p(p)
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -202,11 +205,10 @@ def approx_divisor_sum(p: int, n: int,
     for d in divisors(shifted):
         total += legendre_symbol(d, p) * (shifted // d) ** e
     constant = _certified_constant(p, leading_constant(p, "iv"))
-    ctx = config.context()
-    estimate = to_mpf(ctx, Fraction(total, constant))
+    estimate = round_binary(Fraction(total, constant), config.working_bits)
     report = ApproxReport(p=p, n=n, method="divisor", estimate=estimate,
                           divisor_sum=total, constant=constant)
-    return _with_exact(report, config) if with_exact else report
+    return _with_exact(report) if with_exact else report
 
 
 # ---------------------------------------------------------------------------

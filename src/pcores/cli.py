@@ -33,7 +33,7 @@ from .asympt import (approx_divisor_sum, approx_singular_series,
                      verify_quadratic_trig_identity, verify_ramanujan_identity,
                      VARIANTS, CLASS_NUMBER_METHODS)
 from .precision import (DEFAULT_PRECISION, PrecisionConfig, PrecisionError,
-                        VerificationError)
+                        VerificationError, decimal_str)
 from .series import pcore_count, pcore_series
 
 DEFAULT_DIGITS = DEFAULT_PRECISION.decimal_digits
@@ -109,7 +109,7 @@ def _approx(args, config):
         report = approx_singular_series(args.p, args.n, args.kmax, config)
     else:
         report = approx_divisor_sum(args.p, args.n, config)
-    values = {"estimate": _number_str(report.estimate, config)}
+    values = {"estimate": decimal_str(report.estimate, config)}
     if report.divisor_sum is not None:
         values["divisor_sum"] = str(report.divisor_sum)
         values["constant"] = str(report.constant)

@@ -32,7 +32,7 @@ def test_import_loads_no_other_layer(module):
 
 # Modules that only some commands need: dataclasses (with inspect) in none,
 # hashlib (with OpenSSL's _hashlib) only under --cache, mpmath only in the
-# commands that print a real number, pcores.fourier only in verify fft.
+# commands that build an mpmath context, pcores.fourier only in verify fft.
 OPTIONAL_MODULES = ("dataclasses", "inspect", "hashlib", "_hashlib",
                     "mpmath", "pcores.fourier")
 
@@ -40,8 +40,7 @@ OPTIONAL_MODULES = ("dataclasses", "inspect", "hashlib", "_hashlib",
 # builds no mpmath context, so it loads no mpmath.
 LOAD_CASES = [
     (["classnum", "--p", "199"], []),
-    (["approx", "--p", "17", "--n", "100000", "--method", "singular"],
-     ["mpmath"]),
+    (["approx", "--p", "17", "--n", "100000", "--method", "singular"], []),
     (["verify", "fft", "--kmax", "2", "--rmax", "1", "--smax", "2",
       "--pmax", "3", "--grids", "2", "--grid-kmax", "2"],
      ["mpmath", "pcores.fourier"]),
@@ -111,17 +110,18 @@ def _contexts_built(argv):
     ["verify", "ramanujan-identity", "--p", "13", "--kmax", "15",
      "--nmax", "15"],
     ["cp", "--p", "7", "--variant", "iv"],
+    ["approx", "--p", "17", "--n", "30001", "--method", "singular",
+     "--kmax", "120"],
 ])
 def test_exact_command_builds_no_mpmath_context(argv):
     # these commands compute in integers alone, whatever --prec says
     assert _contexts_built(argv) == [0, 0]
 
 
-def test_divisor_estimate_builds_one_context():
-    # the exact leading constant behind the estimate needs no context of
-    # its own, so only the one at --prec is built
+def test_divisor_estimate_builds_no_context():
+    # the exact leading constant and the rounded D/C need no context
     assert _contexts_built(["approx", "--p", "17", "--n", "1000",
-                            "--method", "divisor", "--prec", "40"]) == [0, 1]
+                            "--method", "divisor", "--prec", "40"]) == [0, 0]
 
 
 def test_readme_library_example():
