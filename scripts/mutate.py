@@ -26,8 +26,10 @@ COPIED = ("src", "tests", "scripts", "pyproject.toml", "README.md")
 
 ASYMPT = "tests/test_asympt.py"
 CLI = "tests/test_cli.py"
+FOURIER = "tests/test_fourier.py"
 GOLDEN = "tests/test_cli.py::test_golden_rendering"
 RENDERER = "tests/test_precision.py::test_decimal_str_is_nstr"
+SPECIAL = "tests/test_special.py"
 
 # (file under src/pcores, exact old text, new text, tests that must fail)
 MUTANTS = (
@@ -107,7 +109,27 @@ MUTANTS = (
      "    return bernoulli_number(2 * j) / math.factorial(2 * j)",
      "    return bernoulli_number(2 * j) / math.factorial(2 * j) "
      "* (Fraction(1001, 1000) if j == 1 else 1)",
-     "tests/test_fourier.py"),
+     FOURIER),
+    # the fixed-point cores of verify fft: the root recurrence turning the
+    # wrong way, a log-series coefficient one power of pi short, the log's
+    # range reduction one power of 2 off, and sqrt(p) truncated
+    ("precision.py",
+     "        re, im = re * cos + im * sin >> scale, im * cos - re * sin >> scale",
+     "        re, im = re * cos + im * sin >> scale, im * cos + re * sin >> scale",
+     FOURIER),
+    ("special.py",
+     "                d = shift_round(total * pi_m // factorial, W + wide - scale)",
+     "                d = shift_round(total * (pi_m << wide) // pi // factorial,"
+     " W + wide - scale)",
+     SPECIAL),
+    ("precision.py",
+     "    for weight, u in ((e, 2 << scale), ",
+     "    for weight, u in ((e + 1, 2 << scale), ",
+     "tests/test_precision.py::test_log_fixed_within_one_unit"),
+    ("precision.py",
+     "    return (math.isqrt(n << 2 * bits + 2) + 1) >> 1",
+     "    return math.isqrt(n << 2 * bits)",
+     "tests/test_precision.py::test_sqrt_fixed_rounds_to_nearest"),
     # a command that builds no mpmath context must not load mpmath
     ("precision.py",
      "from typing import NamedTuple\n",

@@ -21,7 +21,8 @@ from typing import NamedTuple
 from .arith import (bernoulli_poly, dedekind_sum, divisors, is_prime,
                     legendre_symbol, ramanujan_sum, sawtooth)
 from .precision import (DEFAULT_PRECISION, PrecisionConfig,
-                        VerificationError, pi_fixed, round_binary, to_mpf)
+                        VerificationError, pi_fixed, round_binary, sqrt_fixed,
+                        to_mpf)
 from .series import pcore_count
 from .special import (cot_derivative, cot_polynomial, hurwitz_zeta,
                       hurwitz_zeta_neg)
@@ -159,10 +160,11 @@ def approx_singular_series(p: int, n: int, kmax: int,
     values of N, is 0.247).  pi^h / sqrt(p) is taken in fixed point with F
     = prec + bit_length(h+1) + 2 fraction bits: pi within two units
     (relative 2^-F) raised to the h-th power, one truncated shift,
-    isqrt's sqrt(p) and one truncated quotient put it within a relative
-    (2h+2) * 2^-F <= 2^-(prec+1).  The product is rounded once to prec bits, so the
-    estimate is within a relative 2^-prec of that fixed-point value, which
-    is within a relative 2^-prec of the truncated series.
+    sqrt(p) rounded by sqrt_fixed and one truncated quotient put it
+    within a relative (2h+2) * 2^-F <= 2^-(prec+1).  The product is
+    rounded once to prec bits, so the estimate is within a relative
+    2^-prec of that fixed-point value, which is within a relative 2^-prec
+    of the truncated series.
     """
     _require_p(p)
     if kmax < 1:
@@ -176,7 +178,7 @@ def approx_singular_series(p: int, n: int, kmax: int,
     total = _twisted_ramanujan_sum(p, shifted, h, kmax, bits)
     F = prec + (h + 1).bit_length() + 2
     # pi^h / sqrt(p) * 2^F
-    power = (pi_fixed(F) ** h >> (h - 2) * F) // math.isqrt(p << 2 * F)
+    power = (pi_fixed(F) ** h >> (h - 2) * F) // sqrt_fixed(p, F)
     estimate = round_binary(
         Fraction(total * 2 ** h * shifted ** (h - 1) * power,
                  math.factorial(h - 1) * p ** h << bits + F), prec)

@@ -4,26 +4,24 @@ The transform convention is fhat(mu) = sum_j f(j/k) e^(-2*pi*i*j*mu/k).
 Three families of grid functions have known closed-form transforms —
 Bernoulli polynomial samples (cotangent derivatives), the Legendre symbol
 (Gauss sums), and Hurwitz zeta samples (the periodic zeta) — and each
-checker compares the direct transform against its closed form at working
-precision.  Parseval's formula and the double-transform reflection
-identity hold for arbitrary grids.
+checker compares the direct transform against its closed form, all as
+integers times 2^-bits for the working precision's bits, so no mpmath is
+loaded.  Parseval's formula and the double-transform reflection identity
+hold for arbitrary grids.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from mpmath.libmp import (from_man_exp, fzero, mpc_abs, mpc_sub, mpf_neg,
-                          round_nearest, to_float)
-
 from .arith import bernoulli_number, bernoulli_poly, is_prime, legendre_symbol
-from .precision import DEFAULT_PRECISION, PrecisionConfig, to_mpf
-from .special import cot_derivative, hurwitz_zeta, periodic_zeta
+from .precision import (DEFAULT_PRECISION, GUARD_BITS, Fixed, PrecisionConfig,
+                        roots_fixed, shift_round, sqrt_fixed)
+from .special import _cot_derivative_fixed, _zeta_fixed, periodic_zeta
 
 
 class GridFunction(NamedTuple):
@@ -42,84 +40,69 @@ def grid_function(k: int, values) -> GridFunction:
     return GridFunction(k=k, samples=samples)
 
 
-def _parts(value) -> tuple:
-    """The raw mpf tuples (real, imaginary) of an mpf or mpc value."""
-    return value._mpc_ if hasattr(value, "_mpc_") else (value._mpf_, fzero)
-
-
-def _integers(parts) -> tuple:
-    """Raw mpf tuples as exact integers times 2^exp, exp the least exponent
-    among the nonzero ones: (exp, integers).  Non-finite values raise
-    ValueError."""
-    parts = list(parts)
-    if any(not part[1] and part != fzero for part in parts):
+def _fixed(value, bits: int) -> tuple:
+    """(re, im) of value * 2^bits, each rounded to an integer: value an
+    int, float, complex, Fraction, Fixed, or mpmath mpf or mpc, read from
+    its raw tuples.  A non-finite value raises ValueError."""
+    if type(value) is Fixed:
+        re, im, scale = value
+        return shift_round(re, scale - bits), shift_round(im, scale - bits)
+    if isinstance(value, complex):
+        return _fixed(value.real, bits)[0], _fixed(value.imag, bits)[0]
+    if hasattr(value, "_mpc_") or hasattr(value, "_mpf_"):
+        parts = getattr(value, "_mpc_", None) or (value._mpf_, (0, 0, 0, 0))
+        if any(not man and exp for _, man, exp, _ in parts):
+            raise ValueError("samples must be finite")
+        return tuple(shift_round(-man if sign else man, -exp - bits)
+                     for sign, man, exp, _ in parts)
+    if isinstance(value, float) and not math.isfinite(value):
         raise ValueError("samples must be finite")
-    exp = min((e for _, man, e, _ in parts if man), default=0)
-    return exp, [(-man if sign else man) << (e - exp) if man else 0
-                 for sign, man, e, _ in parts]
-
-
-@functools.lru_cache(maxsize=None)
-def _roots(ctx, k: int) -> tuple:
-    """e^(-2*pi*i*m/k) for m = 0..k-1 as exact integers times 2^exp:
-    (exp, real parts, imaginary parts).  The roots for m <= k/2 come from
-    exact rational phases at the precision of ctx, and the rest are their
-    conjugates, so the table is exactly conjugate-symmetric."""
-    exp, ints = _integers(
-        part for m in range(k // 2 + 1)
-        for part in ctx.expjpi(to_mpf(ctx, Fraction(-2 * m, k)))._mpc_)
-    real, imag = ints[0::2], ints[1::2]
-    mirror = slice((k - 1) // 2, 0, -1)  # m = k - 1 .. k/2 + 1 from k - m
-    return (exp, tuple(real + real[mirror]),
-            tuple(imag + [-v for v in imag[mirror]]))
+    num, den = value.as_integer_ratio()  # an int, float or Fraction
+    return ((num << bits + 1) + den) // (2 * den), 0
 
 
 def dft(g: GridFunction, config: PrecisionConfig = DEFAULT_PRECISION) -> GridFunction:
     """Direct O(k^2) transform; k stays small and precision is the point.
 
-    The samples, as ctx.convert gives them at the working precision
-    (GUARD_DIGITS beyond the target), and the roots of unity, cached per
-    (precision, k) by _roots, are exact integers on common exponents.  Each
-    output part is the exact integer sum of samples[j] * roots[j*mu % k],
-    rounded once.  Each root, from its phase rounded to prec bits, is
-    within 3 * 2^-prec of e^(-2*pi*i*m/k), so an output is within
-    3 * 2^-prec * sum_j |samples[j]| of the exact transform of the samples
-    before that one rounding.  For real samples the outputs at mu > k/2 are
-    filled in as the conjugates of those at k - mu, which the
-    conjugate-symmetric roots make bit-identical.  A non-finite sample
-    raises ValueError.
+    Each output part is the exact sum of samples[j] * roots[j*mu % k], the
+    samples as _fixed rounds them to the working precision's bits (ints as
+    they are) and the roots of roots_fixed gathered by slicing, rounded
+    once to a Fixed: within (1/2 + 2^-8) * 2^-bits * sum_j |samples[j]|,
+    plus half a unit, of the exact transform of the rounded samples.  For
+    real samples the outputs at mu > k/2 are the conjugates of those at
+    k - mu.  A non-finite sample raises ValueError.
     """
-    ctx = config.context()
-    prec, k = ctx.prec, g.k
-    exp, ints = _integers(part for v in g.samples
-                          for part in _parts(ctx.convert(v)))
-    real, imag = ints[0::2], ints[1::2]
-    root_exp, cos, sin = _roots(ctx, k)
-    exp += root_exp
+    bits, k = config.working_bits, g.k
+    shift = 0 if all(type(v) is int for v in g.samples) else bits
+    real, imag = zip(*(_fixed(v, shift) for v in g.samples))
+    cos, sin = roots_fixed(bits, k)
     is_real = not any(imag)
     out = []
     for mu in range(k // 2 + 1 if is_real else k):
-        index = [j * mu % k for j in range(k)]
-        c, s = [cos[m] for m in index], [sin[m] for m in index]
+        c, s = ((cos * mu)[::mu], (sin * mu)[::mu]) if mu else \
+            (cos[:1] * k, sin[:1] * k)
         re, im = sum(map(mul, real, c)), sum(map(mul, real, s))
         if not is_real:
             re -= sum(map(mul, imag, s))
             im += sum(map(mul, imag, c))
-        out.append((from_man_exp(re, exp, prec, round_nearest),
-                    from_man_exp(im, exp, prec, round_nearest)))
+        out.append(Fixed((shift_round(re, shift), shift_round(im, shift),
+                          bits)))
     if is_real:
-        out += [(re, mpf_neg(im)) for re, im in out[(k - 1) // 2:0:-1]]
-    return GridFunction(k=k, samples=tuple(map(ctx.make_mpc, out)))
+        out += [Fixed((re, -im, bits)) for re, im, _ in out[(k - 1) // 2:0:-1]]
+    return GridFunction(k=k, samples=tuple(out))
 
 
 def inner_product(f: GridFunction, g: GridFunction,
-                  config: PrecisionConfig = DEFAULT_PRECISION):
-    """Sesquilinear <f,g> = sum_j f(j/k) * conj(g(j/k))."""
+                  config: PrecisionConfig = DEFAULT_PRECISION) -> Fixed:
+    """Sesquilinear <f,g> = sum_j f(j/k) * conj(g(j/k)), exact for the
+    samples as _fixed rounds them: a Fixed on twice the working bits."""
     if f.k != g.k:
         raise ValueError("grids must share the same k")
-    ctx = config.context()
-    return ctx.fsum(ctx.convert(a) * ctx.conj(ctx.convert(b))
-                    for a, b in zip(f.samples, g.samples))
+    bits = config.working_bits
+    pairs = [(_fixed(a, bits), _fixed(b, bits))
+             for a, b in zip(f.samples, g.samples)]
+    return Fixed((sum(x * u + y * v for (x, y), (u, v) in pairs),
+                  sum(y * u - x * v for (x, y), (u, v) in pairs), 2 * bits))
 
 
 class DftReport(NamedTuple):
@@ -133,32 +116,24 @@ class DftReport(NamedTuple):
     passed: bool
 
 
-def _max_abs(ctx, values) -> float:
-    """max(float(abs(v))) over raw mpc tuples v, with a working-precision
-    abs only where the maximum can be.
-
-    hypot of the parts cut to doubles is within a few units in the last
-    place of float(abs(v)), so no entry whose estimate falls below the
-    largest by a relative 1e-9 can hold the maximum; the 1e-300 keeps that
-    true where doubles lose relative precision.
-    """
-    values = list(values)
-    estimates = [math.hypot(to_float(re), to_float(im)) for re, im in values]
-    cut = max(estimates) * (1 - 1e-9) - 1e-300
-    return max(to_float(mpc_abs(v, ctx.prec, round_nearest), rnd=round_nearest)
-               for v, estimate in zip(values, estimates)
-               if not estimate < cut)
+def _max_deviation(pairs, bits: int) -> float:
+    """The largest |re + i*im| * 2^-bits over integer pairs as a float,
+    rounded once: isqrt of the exact norm, 64 bits finer with a sticky last
+    bit, then one correctly rounded division."""
+    norm = max(re * re + im * im for re, im in pairs) << 128
+    root = math.isqrt(norm)
+    return (root | (root * root != norm)) / (1 << bits + 64)
 
 
 def _row(name: str, k: int, parameters: dict, samples, expected,
          config: PrecisionConfig) -> DftReport:
-    """Transform the grid of samples and compare it, index by index, with
-    the closed-form values; each difference is rounded once at the working
-    precision, as the mpmath subtraction rounds it."""
-    ctx = config.context()
+    """Compare the transform of the samples, index by index, with the
+    closed-form values as _fixed rounds them."""
+    bits = config.working_bits
     transform = dft(grid_function(k, samples), config).samples
-    worst = _max_abs(ctx, (mpc_sub(t._mpc_, _parts(e), ctx.prec, round_nearest)
-                           for t, e in zip(transform, expected)))
+    worst = _max_deviation(
+        ((t_re - e_re, t_im - e_im) for (t_re, t_im, _), (e_re, e_im)
+         in zip(transform, (_fixed(e, bits) for e in expected))), bits)
     tol = 10.0 ** -(config.decimal_digits - 15)
     return DftReport(name=name, k=k, parameters=parameters,
                      max_deviation=worst, tolerance=tol, passed=worst <= tol)
@@ -175,27 +150,32 @@ def check_bernoulli_row(k: int, r: int,
     """
     if k < 2 or r < 1:
         raise ValueError("need k >= 2 and r >= 1")
-    ctx = config.context()
-    samples = (to_mpf(ctx, bernoulli_poly(r, Fraction(j, k))) for j in range(k))
-    i_pow = ctx.mpc((1, 1j, -1, -1j)[r % 4])
-    scale = ctx.mpf(k) * r / (2 * k) ** r
-    closed = [i_pow * (scale * cot_derivative(r - 1, Fraction(mu, k), config))
-              for mu in range(1, k)]
-    head = ctx.mpc(to_mpf(ctx, bernoulli_number(r) * Fraction(1, k ** (r - 1))))
-    if r == 1:
-        closed = [e - ctx.mpf(1) / 2 for e in closed]
-    return _row("bernoulli", k, {"r": r}, samples, [head] + closed, config)
+    bits = config.working_bits
+    half = 1 << bits - 1 if r == 1 else 0
+    den = k ** (r - 1) << r + GUARD_BITS  # k*r/(2k)^r = r/(2^r * k^(r-1))
+    closed = [bernoulli_number(r) / k ** (r - 1)]
+    for mu in range(1, k):
+        cot = r * _cot_derivative_fixed(r - 1, Fraction(mu, k),
+                                        bits + GUARD_BITS)
+        v = (2 * cot + den) // (2 * den)
+        re, im = ((v, 0), (0, v), (-v, 0), (0, -v))[r % 4]  # times i^r
+        closed.append(Fixed((re - half, im, bits)))
+    return _row("bernoulli", k, {"r": r},
+                [bernoulli_poly(r, Fraction(j, k)) for j in range(k)],
+                closed, config)
 
 
 def check_legendre_row(p: int,
                        config: PrecisionConfig = DEFAULT_PRECISION) -> DftReport:
     """Transform of the Legendre symbol against its Gauss-sum closed form
     (-i)^(((p-1)/2)^2) * sqrt(p) * (mu|p)."""
-    ctx = config.context()
-    gauss = ctx.mpc((1, -1j, -1, 1j)[((p - 1) // 2) ** 2 % 4]) * ctx.sqrt(p)
+    bits = config.working_bits
+    root = sqrt_fixed(p, bits)
+    re, im = ((root, 0), (0, -root), (-root, 0), (0, root))[
+        ((p - 1) // 2) ** 2 % 4]
     symbols = [legendre_symbol(j, p) for j in range(p)]
     return _row("legendre", p, {}, symbols,
-                [gauss * symbol for symbol in symbols], config)
+                [Fixed((re * c, im * c, bits)) for c in symbols], config)
 
 
 def check_zeta_row(k: int, s: int,
@@ -203,19 +183,19 @@ def check_zeta_row(k: int, s: int,
     """Transform of zeta(s, j/k) samples against k^s * l(s, 1 - mu/k).
 
     The j = 0 slot samples a = 1 (the argument domain is (0,1]); on the
-    closed-form side 1 - 0 is likewise read as 1.  hurwitz_zeta and
+    closed-form side 1 - 0 is likewise read as 1.  The Hurwitz sums and
     periodic_zeta cache their values, so each distinct zeta(s, a) and
     l(s, x) is evaluated once per process, and rows share them.
     """
     if k < 2:
         raise ValueError("need k >= 2")
-    scale = config.context().mpf(k) ** s
+    scale = k ** s
     return _row(
         "zeta", k, {"s": s},
-        (hurwitz_zeta(s, Fraction(j, k) if j else 1, config)
+        (_zeta_fixed(s, Fraction(j, k) if j else Fraction(1), config)
          for j in range(k)),
-        (scale * periodic_zeta(s, Fraction(k - mu, k), config)
-         for mu in range(k)),
+        (Fixed((scale * re, scale * im, bits)) for re, im, bits in
+         (periodic_zeta(s, Fraction(k - mu, k), config) for mu in range(k))),
         config)
 
 
@@ -236,9 +216,9 @@ class TableReport(NamedTuple):
 _GRID_SEED = 0
 
 
-def _random_grid(ctx, rng: random.Random, k: int) -> GridFunction:
+def _random_grid(rng: random.Random, k: int) -> GridFunction:
     return grid_function(
-        k, (ctx.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(k)))
+        k, (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(k)))
 
 
 def verify_transform_table(kmax: int = 13, rmax: int = 6, smax: int = 6,
@@ -269,10 +249,9 @@ def verify_transform_table(kmax: int = 13, rmax: int = 6, smax: int = 6,
     for p in range(3, pmax + 1):
         if is_prime(p):
             rows.append(check_legendre_row(p, config))
-    ctx = config.context()
+    bits = config.working_bits
     rng = random.Random(_GRID_SEED)
-    pool = [_random_grid(ctx, rng, rng.randint(1, grid_kmax))
-            for _ in range(grids)]
+    pool = [_random_grid(rng, rng.randint(1, grid_kmax)) for _ in range(grids)]
     parseval_max = involution_max = 0.0
     hats = {}  # pool index -> transform, reused by the reflection check
     for i in range(0, len(pool) - 1, 2):
@@ -281,16 +260,18 @@ def verify_transform_table(kmax: int = 13, rmax: int = 6, smax: int = 6,
         if f.k == g.k:
             hats[i + 1] = g_hat = dft(g, config)
         else:
-            g = _random_grid(ctx, rng, f.k)
+            g = _random_grid(rng, f.k)
             g_hat = dft(g, config)
-        lhs = inner_product(hats[i], g_hat, config)
-        rhs = f.k * inner_product(f, g, config)
-        parseval_max = max(parseval_max, float(abs(lhs - rhs)))
+        lhs_re, lhs_im, _ = inner_product(hats[i], g_hat, config)
+        rhs_re, rhs_im, _ = inner_product(f, g, config)
+        parseval_max = max(parseval_max, _max_deviation(
+            [(lhs_re - f.k * rhs_re, lhs_im - f.k * rhs_im)], 2 * bits))
     for i, f in enumerate(pool[:10]):
-        double = dft(hats[i] if i in hats else dft(f, config), config)
-        dev = _max_abs(ctx, (
-            (double.samples[j] - f.k * ctx.convert(f.samples[-j % f.k]))._mpc_
-            for j in range(f.k)))
+        double = dft(hats[i] if i in hats else dft(f, config), config).samples
+        reflected = (_fixed(f.samples[-j % f.k], bits) for j in range(f.k))
+        dev = _max_deviation(((d_re - f.k * re, d_im - f.k * im)
+                              for (d_re, d_im, _), (re, im)
+                              in zip(double, reflected)), bits)
         involution_max = max(involution_max, dev)
     failed = [row for row in rows if not row.passed]
     return TableReport(

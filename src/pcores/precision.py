@@ -1,19 +1,22 @@
-"""Working-precision configuration, the one real-number renderer, and the
-errors of checked computations.
+"""Working-precision configuration, fixed-point elementary functions, the
+one real-number renderer, and the errors of checked computations.
 
-A real number in this package is either a Fraction rounded once to the
-working precision by :func:`round_binary` and printed by
-:func:`decimal_str`, which gives the digits mpmath's ``nstr`` would, or a
-value produced inside an mpmath context cloned for a specific
-:class:`PrecisionConfig`, so callers with different precision needs never
-share mutable global state.  Integers are never rounded from such values:
-each one is computed exactly.  mpmath is imported where the first context
-is built, so a command that builds none never loads it.
+A real number in this package is a Fraction rounded once to the working
+precision by :func:`round_binary` and printed by :func:`decimal_str`,
+which gives the digits mpmath's ``nstr`` would; an integer times 2^-bits
+(a :class:`Fixed` if complex), with pi, roots of unity, logarithms and
+square roots summed here; or a value produced inside an mpmath context
+cloned for a specific :class:`PrecisionConfig`, so callers with different
+precision needs never share mutable global state.  Integers are never
+rounded from such values: each one is computed exactly.  mpmath is
+imported where the first context is built, so a command that builds none
+never loads it.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -29,6 +32,8 @@ class VerificationError(Exception):
 
 # Digits carried internally beyond the target.
 GUARD_DIGITS = 10
+# Bits a fixed-point sum carries beyond its result to absorb its truncations
+GUARD_BITS = 32
 # log2(10) as the float literal of mpmath's digit and bit conversions
 _LOG2_10 = 3.3219280948873626
 
@@ -109,6 +114,24 @@ def round_binary(value: Fraction, bits: int) -> Fraction:
         else Fraction(quotient << -shift)
 
 
+class Fixed(tuple):
+    """(re + i*im) * 2^-bits as the tuple (re, im, bits); mpmath reads it
+    exactly through _mpc_, which imports mpmath only when it is read."""
+
+    __slots__ = ()
+
+    @property
+    def _mpc_(self):
+        from mpmath.libmp import from_man_exp
+        return tuple(from_man_exp(part, -self[2]) for part in self[:2])
+
+
+def shift_round(n: int, shift: int) -> int:
+    """n * 2^-shift rounded to the nearest integer, ties up."""
+    return n << -shift if shift <= 0 else (n + (1 << shift - 1)) >> shift
+
+
+@functools.lru_cache(maxsize=None)
 def pi_fixed(bits: int) -> int:
     """pi * 2^bits within two units, by Machin's formula
     pi = 16 * atan(1/5) - 4 * atan(1/239), each arctangent series summed
@@ -123,6 +146,51 @@ def pi_fixed(bits: int) -> int:
             total += coefficient * (power // j)
             coefficient, power, j = -coefficient, power // (x * x), j + 2
     return total >> guard
+
+
+def sqrt_fixed(n: int, bits: int) -> int:
+    """sqrt(n) * 2^bits for an integer n >= 0, rounded, by isqrt."""
+    return (math.isqrt(n << 2 * bits + 2) + 1) >> 1
+
+
+@functools.lru_cache(maxsize=None)
+def roots_fixed(bits: int, k: int) -> tuple:
+    """e^(-2*pi*i*m/k), m = 0..k-1, as integers times 2^-bits: (real
+    parts, imaginary parts), each within half a unit plus 2^-8 for k below
+    2^10.  Those for m <= k/2 are powers of one root from the Taylor series
+    of cos and sin, each term and product floored GUARD_BITS finer; the
+    rest are their conjugates, so the table is conjugate-symmetric."""
+    scale = bits + GUARD_BITS
+    angle = (pi_fixed(scale) * 2 + k // 2) // k
+    parts, term, n = [0, 0], 1 << scale, 0  # cos and sin of the angle
+    while term:
+        parts[n & 1] += -term if n & 2 else term
+        n += 1
+        term = (term * angle >> scale) // n
+    (cos, sin), re, im, real, imag = parts, 1 << scale, 0, [], []
+    for _ in range(k // 2 + 1):
+        real.append(shift_round(re, GUARD_BITS))
+        imag.append(shift_round(im, GUARD_BITS))
+        re, im = re * cos + im * sin >> scale, im * cos - re * sin >> scale
+    mirror = slice((k - 1) // 2, 0, -1)  # m = k - 1 .. k/2 + 1 from k - m
+    return (tuple(real + real[mirror]),
+            tuple(imag + [-v for v in imag[mirror]]))
+
+
+@functools.lru_cache(maxsize=None)
+def log_fixed(x: int, bits: int) -> int:
+    """log(x * 2^-bits) * 2^bits for an integer x > 0, within one unit:
+    x * 2^-bits = y * 2^e with y in [1, 2), and e * log 2 + log y, each log
+    u = 2 * atanh((u - 1)/(u + 1)) summed GUARD_BITS finer, rounded once."""
+    scale, e = bits + GUARD_BITS, x.bit_length() - 1 - bits
+    one, total = 1 << scale, 0
+    for weight, u in ((e, 2 << scale), (1, shift_round(x, e + bits - scale))):
+        z = (u - one << scale) // (u + one)  # in [0, 1/3]
+        square, power, j = z * z >> scale, z, 1
+        while power:
+            total += 2 * weight * (power // j)
+            power, j = power * square >> scale, j + 2
+    return shift_round(total, GUARD_BITS)
 
 
 def decimal_str(value: Fraction, config: PrecisionConfig) -> str:

@@ -4,10 +4,11 @@ Hurwitz zeta via Euler-Maclaurin summation with an explicit error cut,
 its exact rational values at nonpositive integer arguments, the periodic
 zeta function on the unit circle from its log series, and arbitrary-order
 derivatives of the cotangent through an integer-coefficient polynomial
-recurrence.  Every zeta value, the log series' coefficients included,
-comes from this module; mpmath supplies elementary functions and rounding
-through the contexts of pcores.precision, and _horner imports its raw-tuple
-arithmetic when it runs, so importing this module loads no mpmath.
+recurrence.  Every value is summed in integers on a binary scale, with
+pi, roots of unity and log from pcores.precision.  Only hurwitz_zeta and
+cot_derivative, for the leading constant and the Dirichlet check, build
+mpf values; periodic_zeta returns a precision.Fixed, so the transform
+table, which reads the integer sums, never loads mpmath.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import math
 from fractions import Fraction
 
 from .arith import bernoulli_number, bernoulli_poly
-from .precision import (DEFAULT_PRECISION, GUARD_DIGITS, PrecisionConfig,
-                        PrecisionError, _context, to_mpf)
+from .precision import (DEFAULT_PRECISION, GUARD_BITS, GUARD_DIGITS, Fixed,
+                        PrecisionConfig, PrecisionError, log_fixed, pi_fixed,
+                        roots_fixed, shift_round)
 
 
 @functools.lru_cache(maxsize=None)
@@ -43,17 +45,31 @@ def cot_polynomial(r: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-@functools.lru_cache(maxsize=None)
-def _cot_pi(ctx, q: Fraction):
-    """cot(pi*q) at the precision of ctx, computed once per (ctx, q)."""
-    return ctx.cot(ctx.pi * to_mpf(ctx, q))
+def _cot_derivative_fixed(r: int, q: Fraction, bits: int) -> int:
+    """cot^(r)(pi*q) * 2^bits for r >= 0 and rational q = m/den in (0, 1).
+
+    t = cot(pi*q) is cos/sin of the root e^(-2*pi*i*m/(2den)), taken
+    2 * bit_length(den) + GUARD_BITS finer, where sin(pi*q) >= 2/den keeps
+    the quotient within 2 * den^2 + 1 units, and rounded.  (-1)^r f_r(t) is
+    summed by Horner's rule with each product floored: within (r + 2) *
+    max(1, |t|)^(r + 1) units plus |f_r'(t)| times t's error.
+    """
+    scale = bits + GUARD_BITS + 2 * q.denominator.bit_length()
+    real, imag = roots_fixed(scale, 2 * q.denominator)
+    t = shift_round((real[q.numerator] << scale) // -imag[q.numerator],
+                    scale - bits)
+    val = 0
+    for coeff in reversed(cot_polynomial(r) if r else (0, 1)):  # f_0(t) = t
+        val = (val * t >> bits) + (coeff << bits)
+    return val if r % 2 == 0 else -val
 
 
 def cot_derivative(r: int, q, config: PrecisionConfig = DEFAULT_PRECISION):
     """r-th derivative of cot at x = pi*q, for exact rational q in (0,1).
 
-    The argument is reduced while still rational; pi enters only at the
-    working precision.  Sign convention is the literal derivative:
+    The argument is reduced while still rational; cot(pi*q), from
+    _cot_derivative_fixed GUARD_BITS finer, becomes one mpf, at which f_r
+    is evaluated.  Sign convention is the literal derivative:
     cot^(r)(x) = (-1)^r f_r(cot x).
     """
     q = Fraction(q)
@@ -61,11 +77,10 @@ def cot_derivative(r: int, q, config: PrecisionConfig = DEFAULT_PRECISION):
         raise ValueError("cot_derivative requires 0 < q < 1")
     if r < 0:
         raise ValueError("cot_derivative requires r >= 0")
-    c = _cot_pi(config.context(), q)
-    if r == 0:
-        return c
+    bits = config.working_bits + GUARD_BITS
+    c = config.context().mpf((_cot_derivative_fixed(0, q, bits), -bits))
     val = 0
-    for coeff in reversed(cot_polynomial(r)):
+    for coeff in reversed(cot_polynomial(r) if r else (0, 1)):
         val = val * c + coeff
     return val if r % 2 == 0 else -val
 
@@ -78,7 +93,7 @@ def _euler_maclaurin_coefficient(j: int) -> Fraction:
 
 def hurwitz_zeta(s: int, a, config: PrecisionConfig = DEFAULT_PRECISION):
     """zeta(s, a) = sum_{n>=0} (n+a)^(-s) for integer s >= 2, rational a in
-    (0, 1], computed by _hurwitz_zeta once per (s, a, config) and cached.
+    (0, 1]: _hurwitz_zeta's sum, cached per (s, a, config), as one mpf.
 
     Its cache_info and cache_clear are _hurwitz_zeta's, so a call by this
     name shows as a cache hit or miss however s, a and config are written.
@@ -88,12 +103,13 @@ def hurwitz_zeta(s: int, a, config: PrecisionConfig = DEFAULT_PRECISION):
     a = Fraction(a)
     if not 0 < a <= 1:
         raise ValueError("hurwitz_zeta requires 0 < a <= 1")
-    return _hurwitz_zeta(int(s), a, config)
+    total, scale = _hurwitz_zeta(int(s), a, config)
+    return config.context().mpf((total, -scale))
 
 
 @functools.lru_cache(maxsize=None)
 def _hurwitz_zeta(s: int, a: Fraction, config: PrecisionConfig):
-    """zeta(s, a) for integer s >= 2 and Fraction a in (0, 1].
+    """zeta(s, a) ~ total/2^W as (total, W), integer s >= 2, a in (0, 1].
 
     Direct summation of M = max(2*s, decimal_digits) terms, then the
     Euler-Maclaurin tail
@@ -107,14 +123,12 @@ def _hurwitz_zeta(s: int, a: Fraction, config: PrecisionConfig):
     (n + a)^(-s) is q^s/(nq + p)^s and x = (Mq + p)/q.  Each is cut once to
     an integer multiple of 2^-W, W = prec + bit_length(8M) + 4 for the
     working precision prec; the stopping rule and the stall check compare
-    those integers, which are summed exactly, and the sum is rounded once
-    to prec bits.  The stall check ends the tail before j passes 5M, so at
-    most 8M cuts, each under 2^-W, leave the sum within 2^-(prec+4) of the
-    truncated formula: under a sixteenth of the last bit of
-    zeta(s, a) >= 1, before its one rounding.
+    those integers, which are summed exactly.  The stall check ends the
+    tail before j passes 5M, so at most 8M cuts, each under 2^-W, leave the
+    sum within 2^-(prec+4) of the truncated formula: under a sixteenth of
+    the last bit of zeta(s, a) >= 1, before the caller's one rounding.
     """
-    ctx = config.context()
-    prec, digits = ctx.prec, config.decimal_digits
+    prec, digits = config.working_bits, config.decimal_digits
     M = max(2 * s, digits)
     W = prec + (8 * M).bit_length() + 4
     p, q = a.numerator, a.denominator
@@ -139,6 +153,7 @@ def _hurwitz_zeta(s: int, a: Fraction, config: PrecisionConfig):
             break
         if size > previous:
             # asymptotic tail started diverging before reaching the target
+            ctx = config.context()
             size = ctx.mpf((size, -W))
             raise PrecisionError(
                 f"Euler-Maclaurin tail for zeta({s}, {a}) stalled at "
@@ -148,11 +163,18 @@ def _hurwitz_zeta(s: int, a: Fraction, config: PrecisionConfig):
         rising *= (s + 2 * j - 1) * (s + 2 * j)
         num, den = num * q * q, den * X * X
         j += 1
-    return ctx.mpf((total, -W))
+    return total, W
 
 
 hurwitz_zeta.cache_info = _hurwitz_zeta.cache_info
 hurwitz_zeta.cache_clear = _hurwitz_zeta.cache_clear
+
+
+def _zeta_fixed(s: int, a: Fraction, config: PrecisionConfig) -> Fixed:
+    """zeta(s, a) on the working precision's scale, rounded once."""
+    total, scale = _hurwitz_zeta(s, a, config)
+    bits = config.working_bits
+    return Fixed((shift_round(total, scale - bits), 0, bits))
 
 
 def hurwitz_zeta_neg(m: int, a) -> Fraction:
@@ -163,68 +185,73 @@ def hurwitz_zeta_neg(m: int, a) -> Fraction:
 
 
 @functools.lru_cache(maxsize=None)
-def _log_series(ctx, s: int) -> tuple:
-    """The log series of l(s, x) for integer s >= 2, at GUARD_DIGITS beyond
-    ctx: (E, O, H_{s-1}), with E and O ascending coefficient tuples of the
-    real polynomials in
+def _log_series(s: int, config: PrecisionConfig) -> tuple:
+    """The log series of l(s, x), integer s >= 2, with pi folded in, as
+    integers times 2^-(working bits + GUARD_BITS): (E, O, K, H) with
 
-        l(s, x) = E(t^2) + i*t*O(t^2)
-                  + (i*t)^(s-1)/(s-1)! * (H_{s-1} - log t + i*pi/2)
+        l(s, x) = E(v^2) + i*v*O(v^2)
+                  + i^(s-1) * K * v^(s-1) * (H - log(pi*v) + i*pi/2)
 
-    at t = 2*pi*x in (0, pi].  This is Li_s(e^w) = sum_{m != s-1}
-    zeta(s-m) w^m/m! + w^(s-1)/(s-1)! * (H_{s-1} - log(-w)) at w = i*t
-    (Lewin, Polylogarithms and Associated Functions, 1981, section 7):
-    the m-th coefficient c_m = zeta(s-m)/m! joins E for even m and O for
-    odd m, with the sign (-1)^(m//2) of i^m.  The series stops at the
-    first nonzero c_m with m >= s and |c_m| * pi^m < eps/8.  From m = s on
-    |c_m| * pi^m falls by a factor of more than 4 from one nonzero term to
-    the next, so what is dropped stays below eps/6 of ctx.
-
-    For m <= s-2, zeta(s-m) is hurwitz_zeta(s-m, 1) for a config
-    GUARD_DIGITS beyond the guard context (at the guard context's own
-    digits its tail cut, 10^-(digits+5), would show in the last bits) and
-    is divided by m! in the guard context.  For m >= s, n = m - s, c_m is
-    the exact zeta(-n)/m! = (-1)^n * B_(n+1) / ((n+1) * m!), rounded once;
-    those of the parity of s are zero and are neither computed nor stored.
+    at v = 2x in (0, 1], K = pi^(s-1)/(s-1)!, H = H_{s-1}: Li_s(e^w) =
+    sum_{m != s-1} zeta(s-m) w^m/m! + w^(s-1)/(s-1)! * (H_{s-1} - log(-w))
+    at w = i*pi*v (Lewin, Polylogarithms and Associated Functions, 1981,
+    section 7).  d_m = (-1)^(m//2) * zeta(s-m) * pi^m/m! joins E (even m)
+    or O (odd m), d_(s-1) = 0, up to the first nonzero |d_m| < eps/8 with
+    m >= s, past which the nonzero terms fall fourfold (dropped: < eps/6).
+    zeta(s-m) is _hurwitz_zeta's sum GUARD_DIGITS finer for m <= s-2, and
+    (-1)^n * B_(n+1)/(n+1) for m = s + n; once n + 1 = 2j passes a quarter
+    of the bits, d_m = (-1)^j * 2 * pi^(s-1) * sum_i (2i)^(-2j) / (2j
+    (2j+1) ... m) instead, in at most eight floored terms.  pi^m is carried
+    GUARD_BITS finer; each d_m, K and H is within half a unit plus 2^-8.
     """
-    high = _context(ctx.dps + GUARD_DIGITS)
-    zeta_config = PrecisionConfig(ctx.dps + GUARD_DIGITS)
-    pi, cut = +high.pi, ctx.eps / 8
+    scale = config.working_bits + GUARD_BITS
+    wide = scale + GUARD_BITS
+    zeta_config = PrecisionConfig(config.working_dps + GUARD_DIGITS)
+    pi, cut = pi_fixed(wide), 1 << GUARD_BITS - 2
     parts = ([], [])
-    m, pi_m = 0, high.one
+    m, pi_m, factorial = 0, 1 << wide, 1
     while True:
         if m <= s or (m - s) % 2:
             if m <= s - 2:
-                c = high.fdiv(hurwitz_zeta(s - m, 1, zeta_config),
-                              math.factorial(m))
+                total, W = _hurwitz_zeta(s - m, Fraction(1), zeta_config)
+                d = shift_round(total * pi_m // factorial, W + wide - scale)
             elif m == s - 1:
-                c = high.zero
-            else:
+                d, K = 0, shift_round(pi_m // factorial, wide - scale)
+                pi_s1 = pi_m
+            elif 4 * (m - s + 1) < wide:
                 n = m - s
-                c = to_mpf(high, (-1) ** n * bernoulli_number(n + 1)
-                           / ((n + 1) * math.factorial(m)))
-                if abs(c) * pi_m < cut:
-                    break
-            parts[m % 2].append(-c if m % 4 >= 2 else c)
-        m, pi_m = m + 1, pi_m * pi
-    harmonic = to_mpf(high, sum(Fraction(1, j) for j in range(1, s)))
-    return tuple(parts[0]), tuple(parts[1]), harmonic
+                c = bernoulli_number(n + 1)
+                d = shift_round((-1) ** n * c.numerator * pi_m
+                                // (c.denominator * (n + 1) * factorial),
+                                wide - scale)
+            else:  # zeta(2j) / 4^j = sum_i (2i)^(-2j), 2j = m - s + 1
+                j, power_sum, i = (m - s + 1) // 2, 0, 1
+                while term := (1 << wide) // (2 * i) ** (2 * j):
+                    power_sum, i = power_sum + term, i + 1
+                d = shift_round((-1) ** j * pi_s1 * power_sum
+                                // math.perm(m, s), 2 * wide - scale - 1)
+            if m >= s and abs(d) < cut:
+                break
+            parts[m % 2].append(-d if m % 4 >= 2 else d)
+        m, pi_m = m + 1, pi_m * pi >> wide
+        factorial *= m
+    harmonic = round(sum(Fraction(1, j) for j in range(1, s)) * (1 << scale))
+    return tuple(parts[0]), tuple(parts[1]), K, harmonic
 
 
-def _horner(ctx, coeffs, u):
-    """coeffs[0] + coeffs[1]*u + coeffs[2]*u^2 + ... by Horner's rule, for
-    mpf coefficients and u, on mpmath's raw tuples: each product and each
-    sum rounded once at the precision of ctx, as acc * u + c rounds."""
-    from mpmath.libmp import fzero, mpf_add, mpf_mul, round_nearest
-    prec, u, acc = ctx.prec, u._mpf_, fzero
+def _horner(coeffs, num: int, den: int) -> int:
+    """sum_m coeffs[m] * (num/den)^m for integer coefficients and
+    0 <= num <= den, by Horner's rule with each product floored: at most
+    len(coeffs) below the exact sum, and never above it."""
+    acc = 0
     for c in reversed(coeffs):
-        acc = mpf_add(mpf_mul(acc, u, prec, round_nearest), c._mpf_, prec,
-                      round_nearest)
-    return ctx.make_mpf(acc)
+        acc = acc * num // den + c
+    return acc
 
 
 def periodic_zeta(s: int, x, config: PrecisionConfig = DEFAULT_PRECISION):
-    """l(s, x) = sum_{n>=1} e^(2*pi*i*n*x) / n^s for integer s >= 2, rational x.
+    """l(s, x) = sum_{n>=1} e^(2*pi*i*n*x) / n^s for integer s >= 2, rational
+    x, as a Fixed on the working precision's scale.
 
     x is reduced mod 1 and folded onto [0, 1/2] by the termwise
     conjugation l(s, 1-x) = conj(l(s, x)); _folded_periodic_zeta computes
@@ -234,7 +261,8 @@ def periodic_zeta(s: int, x, config: PrecisionConfig = DEFAULT_PRECISION):
         raise ValueError("periodic_zeta requires integer s >= 2")
     s, x = int(s), Fraction(x) % 1
     if x > Fraction(1, 2):
-        return config.context().conj(_folded_periodic_zeta(s, 1 - x, config))
+        re, im, bits = _folded_periodic_zeta(s, 1 - x, config)
+        return Fixed((re, -im, bits))
     return _folded_periodic_zeta(s, x, config)
 
 
@@ -242,22 +270,23 @@ def periodic_zeta(s: int, x, config: PrecisionConfig = DEFAULT_PRECISION):
 def _folded_periodic_zeta(s: int, x: Fraction, config: PrecisionConfig):
     """l(s, x) for x in [0, 1/2], computed once per (s, x, config).
 
-    l(s, 0) = zeta(s, 1); every other x sums the log series of _log_series,
-    whose coefficients are built once per (precision, s) and cut where
-    |c_m| * pi^m < eps/8.  E and O are evaluated by Horner's rule on raw
-    tuples (_horner) GUARD_DIGITS beyond the working precision, and the
-    result is rounded once.
+    l(s, 0) = zeta(s, 1); every other x sums _log_series at v = 2x = a/b,
+    E and O by _horner at v^2, GUARD_BITS finer: within a few hundred units
+    there, so within half a unit plus 2^-16 once rounded.
     """
-    ctx = config.context()
     if x == 0:
-        return ctx.mpc(hurwitz_zeta(s, 1, config))
-    even, odd, harmonic = _log_series(ctx, s)
-    high = _context(ctx.dps + GUARD_DIGITS)
-    t = 2 * high.pi * to_mpf(high, x)
-    u = t * t
-    scale = t ** (s - 1) / math.factorial(s - 1)
-    # (i*t)^(s-1)/(s-1)! * (H - log t + i*pi/2) as re + i*im, turned by i^(s-1)
-    re, im = scale * (harmonic - high.ln(t)), scale * high.pi / 2
+        return _zeta_fixed(s, Fraction(1), config)
+    even, odd, K, harmonic = _log_series(s, config)
+    bits = config.working_bits
+    scale = bits + GUARD_BITS
+    pi, a, b = pi_fixed(scale), (2 * x).numerator, (2 * x).denominator
+    # i^(s-1) * K * v^(s-1) * (H - log(pi*v) + i*pi/2) as re + i*im
+    power = K * a ** (s - 1) // b ** (s - 1)
+    re = power * (harmonic - log_fixed(pi * a // b, scale)) >> scale
+    im = power * pi >> scale + 1
     for _ in range((s - 1) % 4):
         re, im = -im, re
-    return ctx.mpc(_horner(high, even, u) + re, t * _horner(high, odd, u) + im)
+    re += _horner(even, a * a, b * b)
+    im += _horner(odd, a * a, b * b) * a // b
+    return Fixed((shift_round(re, GUARD_BITS), shift_round(im, GUARD_BITS),
+                  bits))

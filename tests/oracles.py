@@ -1,16 +1,13 @@
 """Reference expansions for the tests: truncated integer power series with
 their algebra, Euler's product and the partition generating function, two
 counts of p-cores that share nothing with the series engine (hook lengths
-and lattice points), the partition product evaluated numerically, the
-mpmath-number expressions that the library's raw-tuple loops replace, and
-exact rational evaluations of the formulas that the library sums in fixed
-point.
+and lattice points), the partition product evaluated numerically, and
+exact rational evaluations of the formulas and transforms that the library
+sums in fixed point.
 
 The library returns plain coefficient tuples; these oracles share no code
 with it, so products formed here check its coefficients independently.
-The mpmath expressions round exactly where the raw-tuple code does, so the
-library must match them bit for bit; the exact evaluations bound or pin
-the library's one final rounding.
+The exact evaluations bound or pin the library's one final rounding.
 """
 
 from __future__ import annotations
@@ -235,28 +232,33 @@ def hurwitz_zeta_formula(s: int, a, digits: int) -> Fraction:
         j += 1
 
 
-def dft_exact(ctx, samples) -> list:
-    """fhat(mu) = sum_j f_j e^(-2*pi*i*j*mu/k) with each part the exact
-    rational sum of the products, rounded once to the precision of ctx.
-    The samples are ctx.convert's values, and the roots are ctx.expjpi of
-    the correctly rounded phases -2m/k for m <= k/2 and the conjugates of
-    those for the rest."""
-    k = len(samples)
-    half = [ctx.expjpi(ctx.fdiv(-2 * m, k)) for m in range(k // 2 + 1)]
-    roots = half + [ctx.conj(r) for r in half[(k - 1) // 2:0:-1]]
-    roots = [(exact(r.real), exact(r.imag)) for r in roots]
-    values = [ctx.mpc(ctx.convert(v)) for v in samples]
-    values = [(exact(v.real), exact(v.imag)) for v in values]
+def dft_exact(samples, roots, bits: int) -> list:
+    """fhat(mu) = sum_j f_j e^(-2*pi*i*j*mu/k) as (re, im) integers times
+    2^-bits, for roots = (real parts, imaginary parts) of e^(-2*pi*i*m/k)
+    as integers times 2^-bits: each sample's exact value (an int, Fraction,
+    complex, mpmath mpf or mpc, or the library's Fixed) rounded to the
+    nearest multiple of 2^-bits, and each part of each output the exact
+    sum of the products, rounded once."""
+    k, (cos, sin) = len(samples), roots
+    values = []
+    for v in samples:
+        if isinstance(v, complex):
+            parts = (Fraction(v.real), Fraction(v.imag))
+        elif hasattr(v, "_mpf_"):
+            parts = (exact(v), Fraction(0))
+        elif hasattr(v, "_mpc_"):
+            v = mpmath.mpc(v)  # exact: mpc() takes the raw tuples as given
+            parts = (exact(v.real), exact(v.imag))
+        else:
+            parts = (Fraction(v), Fraction(0))
+        values.append([round(part * 2 ** bits) for part in parts])
     out = []
     for mu in range(k):
-        terms = [(v, roots[j * mu % k]) for j, v in enumerate(values)]
-        re = (sum(x * c for (x, _), (c, _) in terms if x)
-              - sum(y * s for (_, y), (_, s) in terms if y))
-        im = (sum(x * s for (x, _), (_, s) in terms if x)
-              + sum(y * c for (_, y), (c, _) in terms if y))
-        re, im = Fraction(re), Fraction(im)
-        out.append(ctx.mpc(ctx.fdiv(re.numerator, re.denominator),
-                           ctx.fdiv(im.numerator, im.denominator)))
+        index = [j * mu % k for j in range(k)]
+        re = sum(x * cos[m] - y * sin[m] for (x, y), m in zip(values, index))
+        im = sum(x * sin[m] + y * cos[m] for (x, y), m in zip(values, index))
+        out.append((round(Fraction(re, 2 ** bits)),
+                    round(Fraction(im, 2 ** bits))))
     return out
 
 
@@ -264,33 +266,6 @@ def exact(value) -> Fraction:
     """An mpf as the exact rational it holds."""
     sign, man, exp, _ = value._mpf_
     return Fraction(-man if sign else man) * Fraction(2) ** exp
-
-
-def horner(coeffs, u):
-    """coeffs[0] + coeffs[1]*u + coeffs[2]*u^2 + ... as acc * u + c on
-    mpf values."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * u + c
-    return acc
-
-
-def periodic_zeta_by_mpf(ctx, high, series, s: int, x):
-    """l(s, x) for x in (0, 1/2] from the log series (E, O, H_{s-1}) as mpf
-    expressions at the precision of high,
-        E(t^2) + i*t*O(t^2) + (i*t)^(s-1)/(s-1)! * (H_{s-1} - log t + i*pi/2)
-    at t = 2*pi*x, E and O by horner, rounded once to ctx.  The series is
-    passed in, so this checks its evaluation; tests/test_special.py checks
-    the coefficients against mpmath's zeta."""
-    even, odd, harmonic = series
-    x = Fraction(x)
-    t = 2 * high.pi * high.fdiv(x.numerator, x.denominator)
-    u = t * t
-    scale = t ** (s - 1) / math.factorial(s - 1)
-    re, im = scale * (harmonic - high.ln(t)), scale * high.pi / 2
-    for _ in range((s - 1) % 4):  # times i^(s-1)
-        re, im = -im, re
-    return ctx.mpc(horner(even, u) + re, t * horner(odd, u) + im)
 
 
 def max_deviation(transform, expected) -> float:

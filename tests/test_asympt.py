@@ -120,9 +120,10 @@ class TestSingularSeries:
     def test_estimate_equals_exp_sum_series(self, digits):
         # against S * 2^h * N^(h-1) / ((h-1)! * p^h) * pi^h / sqrt(p), S the
         # exact sum of exp_sum(p, k, n) / k^h, evaluated at 3x the bits and
-        # held to the (h+6) * 2^-prec of approx_singular_series' docstring
-        config = PrecisionConfig.for_digits(digits)
-        prec = config.context().prec
+        # held to the relative 2 * 2^-prec of approx_singular_series'
+        # docstring: 2^-prec for the one rounding, 2^-prec in fixed point
+        config = PrecisionConfig(digits)
+        prec = config.working_bits
         oracle = mpmath.mp.clone()
         oracle.prec = 3 * prec
         for p in (5, 7, 13, 31, 61):
@@ -142,7 +143,7 @@ class TestSingularSeries:
                     estimate = approx_singular_series(
                         p, n, kmax, config, with_exact=False).estimate
                     gap = abs(oracle.convert(estimate) - series) / series
-                    assert gap <= (h + 6) * oracle.mpf(2) ** -prec, \
+                    assert gap <= 2 * oracle.mpf(2) ** -prec, \
                         (p, n, kmax)
 
     def test_multiples_of_p_add_nothing(self):

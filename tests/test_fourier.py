@@ -3,32 +3,40 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from oracles import dft_exact, max_deviation
 from pcores.arith import bernoulli_poly, is_prime, legendre_symbol
-from pcores.fourier import (_max_abs, _roots, _row, check_bernoulli_row,
+from pcores.fourier import (_max_deviation, _row, check_bernoulli_row,
                             check_legendre_row, check_zeta_row, dft,
                             grid_function, inner_product,
                             verify_transform_table)
-from pcores.precision import DEFAULT_PRECISION, PrecisionConfig
-from pcores.special import (_folded_periodic_zeta, cot_derivative,
-                            hurwitz_zeta, periodic_zeta)
+from pcores.precision import (DEFAULT_PRECISION, Fixed, PrecisionConfig,
+                              roots_fixed)
+from pcores.special import (_folded_periodic_zeta, _hurwitz_zeta,
+                            cot_derivative, hurwitz_zeta, periodic_zeta)
+
+
+def _pairs(samples):
+    # the (re, im) integers of a transform's Fixed samples
+    return [(re, im) for re, im, _ in samples]
 
 
 class TestDft:
     def test_constant_grid(self):
         ctx = DEFAULT_PRECISION.context()
         g = grid_function(4, [1, 1, 1, 1])
-        hat = dft(g)
-        assert abs(hat.samples[0] - 4) < 1e-55
-        assert all(abs(v) < 1e-55 for v in hat.samples[1:])
+        hat = [ctx.mpc(v) for v in dft(g).samples]
+        assert abs(hat[0] - 4) < 1e-55
+        assert all(abs(v) < 1e-55 for v in hat[1:])
 
     def test_delta_grid(self):
         # a delta at j=0 transforms to the all-ones grid
+        ctx = DEFAULT_PRECISION.context()
         g = grid_function(5, [1, 0, 0, 0, 0])
         hat = dft(g)
-        assert all(abs(v - 1) < 1e-55 for v in hat.samples)
+        assert all(abs(ctx.mpc(v) - 1) < 1e-55 for v in hat.samples)
 
     def test_bernoulli_grid_by_hand(self):
         # k=2, r=2: samples B_2(0)=1/6, B_2(1/2)=-1/12; at mu=1 the
@@ -36,7 +44,7 @@ class TestDft:
         ctx = DEFAULT_PRECISION.context()
         g = grid_function(2, [Fraction(1, 6), Fraction(-1, 12)])
         hat = dft(g)
-        assert abs(hat.samples[1] - Fraction(1, 4)) < 1e-55
+        assert abs(ctx.mpc(hat.samples[1]) - Fraction(1, 4)) < 1e-55
 
     def test_linearity(self):
         ctx = DEFAULT_PRECISION.context()
@@ -44,69 +52,98 @@ class TestDft:
         g = grid_function(6, [1, -1, 1, -1, 1, -1])
         combined = grid_function(6, [a + b for a, b in
                                      zip(f.samples, g.samples)])
-        lhs = dft(combined).samples
-        rhs = [a + b for a, b in zip(dft(f).samples, dft(g).samples)]
+        lhs = [ctx.mpc(v) for v in dft(combined).samples]
+        rhs = [ctx.mpc(a) + ctx.mpc(b)
+               for a, b in zip(dft(f).samples, dft(g).samples)]
         assert all(abs(x - y) < 1e-55 for x, y in zip(lhs, rhs))
 
     @pytest.mark.parametrize("digits", [20, 60, 100])
     def test_matches_exact_oracle(self, digits):
-        # each part is the exact sum of sample * root, rounded once, on
-        # real and complex grids and on a transform of a transform, at
-        # prime and composite k, on the Legendre rows, and on real grids
-        # whose upper half is filled in by conjugation
+        # each part is the exact sum of sample * root over the table's
+        # roots, rounded once, on real and complex grids and on a transform
+        # of a transform, at prime and composite k, on the Legendre rows,
+        # and on real grids whose upper half is filled in by conjugation
         config = PrecisionConfig(digits)
         ctx = config.context()
+        bits = config.working_bits
         rng = random.Random(digits)
         for k in (1, 2, 5, 12, 13, 32):
+            roots = roots_fixed(bits, k)
             real = [ctx.mpf(rng.uniform(-1, 1)) for _ in range(k)]
             exact = [bernoulli_poly(3, Fraction(j, k)) for j in range(k)]
             plain = [rng.randint(-5, 5) for _ in range(k)]
             complex_ = [ctx.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
                         for _ in range(k)]
+            doubles = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                       for _ in range(k)]
             units = [rng.choice((-1, 1)) for _ in range(k)]
             mixed = [rng.choice((-1, 0, 1)) if j % 2 else real[j]
                      for j in range(k)]
-            for samples in (real, exact, plain, complex_, units, mixed):
+            for samples in (real, exact, plain, complex_, doubles, units,
+                            mixed):
                 hat = dft(grid_function(k, samples), config).samples
-                expected = dft_exact(ctx, samples)
-                assert [v._mpc_ for v in hat] == [v._mpc_ for v in expected]
+                assert all(v[2] == bits for v in hat)
+                assert _pairs(hat) == dft_exact(samples, roots, bits)
                 double = dft(grid_function(k, hat), config).samples
-                assert ([v._mpc_ for v in double]
-                        == [v._mpc_ for v in dft_exact(ctx, expected)])
+                assert _pairs(double) == dft_exact(hat, roots, bits)
         for p in filter(is_prime, range(3, 98)):
             symbols = [legendre_symbol(j, p) for j in range(p)]
             hat = dft(grid_function(p, symbols), config).samples
-            assert ([v._mpc_ for v in hat]
-                    == [v._mpc_ for v in dft_exact(ctx, symbols)])
+            assert _pairs(hat) == dft_exact(symbols, roots_fixed(bits, p), bits)
 
     def test_sums_are_exact_then_rounded_once(self):
-        # nothing is rounded before the sum: at mu = 0 the 1 and the -1
-        # cancel exactly and leave the 1e-200, which a sum of products
-        # rounded at 20 digits would lose
+        # nothing is rounded before the sum: at mu = 0, where every root is
+        # exactly 1, the 1 and the -1 cancel exactly and leave one unit of
+        # the scale; and on a random grid, rounding each product to the
+        # scale before summing would change the transform
         config = PrecisionConfig(20)
-        ctx = config.context()
-        samples = [1, ctx.mpf(10) ** -200, -1]
+        bits = config.working_bits
+        samples = [1, Fraction(1, 2 ** bits), -1]
         hat = dft(grid_function(3, samples), config).samples
-        assert [v._mpc_ for v in hat] == [v._mpc_
-                                          for v in dft_exact(ctx, samples)]
-        assert hat[0] == samples[1]
+        assert _pairs(hat) == dft_exact(samples, roots_fixed(bits, 3), bits)
+        assert hat[0] == Fixed((1, 0, bits))
+        rng = random.Random(3)
+        k = 32
+        cos, sin = roots_fixed(bits, k)
+        values = [rng.randrange(-2 ** bits, 2 ** bits) for _ in range(k)]
+        hat = dft(grid_function(k, [Fraction(v, 2 ** bits) for v in values]),
+                  config).samples
+        per_product = [sum(round(Fraction(v * cos[j * mu % k], 2 ** bits))
+                           for j, v in enumerate(values)) for mu in range(k)]
+        assert [re for re, _, _ in hat] != per_product
 
     def test_roots_are_conjugate_symmetric(self):
         # root k - m is exactly the conjugate of root m, and the roots at
         # m = 0 and m = k/2 are exactly real
         for digits in (20, 60):
-            ctx = PrecisionConfig(digits).context()
+            bits = PrecisionConfig(digits).working_bits
             for k in range(1, 41):
-                _, real, imag = _roots(ctx, k)
+                real, imag = roots_fixed(bits, k)
                 assert len(real) == len(imag) == k
                 for m in range(k):
                     assert real[-m % k] == real[m]
                     assert imag[-m % k] == -imag[m]
 
+    @pytest.mark.parametrize("digits", [20, 60, 100])
+    def test_roots_within_half_a_unit(self, digits):
+        # each root, a power of one fixed-point root, is within half a unit
+        # plus 2^-8 of e^(-2*pi*i*m/k) at three times the precision
+        bits = PrecisionConfig(digits).working_bits
+        ref = mpmath.mp.clone()
+        ref.prec = 3 * bits
+        bound = ref.mpf(1) / 2 + ref.mpf(2) ** -8
+        for k in range(1, 98):
+            real, imag = roots_fixed(bits, k)
+            for m in range(k):
+                root = ref.expjpi(ref.mpf(-2 * m) / k)
+                assert abs(real[m] - ref.ldexp(root.real, bits)) <= bound
+                assert abs(imag[m] - ref.ldexp(root.imag, bits)) <= bound
+
     @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
     def test_rejects_non_finite_samples(self, bad):
         ctx = DEFAULT_PRECISION.context()
-        for samples in ([1, ctx.mpf(bad), 0], [ctx.mpc(0, bad), 1]):
+        for samples in ([1, ctx.mpf(bad), 0], [ctx.mpc(0, bad), 1],
+                        [float(bad), 1], [complex(1, float(bad)), 0]):
             with pytest.raises(ValueError, match="finite"):
                 dft(grid_function(len(samples), samples))
 
@@ -123,40 +160,44 @@ class TestDft:
 
 
 class TestMaxAbs:
-    """_max_abs over differences is max(float(abs(t - e)))."""
+    """_max_deviation over integer pairs is the largest modulus times
+    2^-bits, rounded to a float once."""
 
     @staticmethod
-    def both(transform, expected):
-        ctx = DEFAULT_PRECISION.context()
-        return (_max_abs(ctx, ((t - e)._mpc_
-                               for t, e in zip(transform, expected))),
-                max_deviation(transform, expected))
+    def both(values, bits):
+        # _max_deviation of mpc values scaled to integers, and mpmath's
+        # max(float(abs(v))) of the same values at far more precision
+        ref = mpmath.mp.clone()
+        ref.prec = 4 * bits + 200
+        pairs = [(int(ref.ldexp(v.real, bits)), int(ref.ldexp(v.imag, bits)))
+                 for v in map(ref.mpc, values)]
+        return (_max_deviation(pairs, bits),
+                max(float(ref.ldexp(abs(ref.mpc(*pair)), -bits))
+                    for pair in pairs))
 
     def test_all_zero_deviations(self):
-        ctx = DEFAULT_PRECISION.context()
-        values = [ctx.mpc(j, -j) for j in range(6)]
-        assert self.both(values, values) == (0.0, 0.0)
+        assert _max_deviation([(0, 0)] * 6, 236) == 0.0
 
     def test_tie_at_the_maximum(self):
         ctx = DEFAULT_PRECISION.context()
-        zeros = [0] * 5
-        values = [ctx.mpc(3, 4), ctx.mpc(-4, 3), ctx.mpc(0, -5), ctx.mpc(1, 1),
-                  ctx.mpc(5, 0)]
-        assert self.both(values, zeros) == (5.0, 5.0)
+        pairs = [(3, 4), (-4, 3), (0, -5), (1, 1), (5, 0)]
+        assert _max_deviation(pairs, 0) == 5.0
+        assert _max_deviation(pairs, 236) == 5 * 2.0 ** -236
         # moduli that differ only far below a double's last place
         rng = random.Random(5)
         values = [ctx.expjpi(ctx.mpf(rng.uniform(-1, 1)))
                   * (1 + ctx.mpf(rng.random()) * 2 ** -60) for _ in range(200)]
-        got, expected = self.both(values, [0] * 200)
+        got, expected = self.both(values, 236)
         assert got == expected
-        # a modulus just past half a double's last place rounds up, which
-        # the double estimate, from parts rounded down, does not see
+        # a modulus just past half a double's last place rounds up
         values[0] = ctx.mpc(1 + ctx.mpf(2) ** -53 + ctx.mpf(2) ** -80)
-        assert self.both(values, [0] * 200) == (1 + 2 ** -52,) * 2
+        assert self.both(values, 236) == (1 + 2 ** -52,) * 2
+        # and one exactly on it rounds to even
+        assert self.both([ctx.mpc(1 + ctx.mpf(2) ** -53)], 236) == (1.0,) * 2
 
     def test_failing_row(self):
         # a closed form off by 1/2 at one index fails the row, and the
-        # report carries the deviation the old expression measured
+        # report carries the deviation mpmath measures
         config = DEFAULT_PRECISION
         ctx = config.context()
         symbols = [legendre_symbol(j, 7) for j in range(7)]
@@ -165,7 +206,8 @@ class TestMaxAbs:
         report = _row("legendre", 7, {}, symbols, closed, config)
         transform = dft(grid_function(7, symbols), config).samples
         assert not report.passed
-        assert report.max_deviation == max_deviation(transform, closed)
+        assert report.max_deviation == max_deviation(
+            [ctx.mpc(t) for t in transform], closed)
         assert abs(report.max_deviation - 0.5) < 1e-40
 
 
@@ -177,8 +219,18 @@ class TestInnerProduct:
                                for j in range(k)])
         e2 = grid_function(k, [ctx.expjpi(4 * ctx.mpf(j) / k)
                                for j in range(k)])
-        assert abs(inner_product(e1, e2)) < 1e-55
-        assert abs(inner_product(e1, e1) - k) < 1e-55
+        assert abs(ctx.mpc(inner_product(e1, e2))) < 1e-55
+        assert abs(ctx.mpc(inner_product(e1, e1)) - k) < 1e-55
+
+    def test_exact_on_the_scale(self):
+        # no product is rounded: one unit of the scale times 3 survives
+        # beside 0.5 - 0.25i times the conjugate of 0.25 + i, and the Fixed
+        # carries twice the bits
+        bits = DEFAULT_PRECISION.working_bits
+        f = grid_function(2, [Fraction(1, 2 ** bits), complex(0.5, -0.25)])
+        g = grid_function(2, [3, complex(0.25, 1)])
+        assert inner_product(f, g) == Fixed((
+            (3 << bits) - (1 << 2 * bits - 3), -9 << 2 * bits - 4, 2 * bits))
 
     def test_requires_matching_size(self):
         f = grid_function(3, [1, 2, 3])
@@ -198,7 +250,9 @@ class TestBernoulliRows:
         grid = grid_function(2, [bernoulli_poly(1, Fraction(j, 2))
                                  for j in range(2)])
         unshifted = 2 * (1j / 4) * cot_derivative(0, Fraction(1, 2))
-        assert abs(abs(dft(grid).samples[1] - unshifted) - 0.5) < 1e-45
+        ctx = DEFAULT_PRECISION.context()
+        assert abs(abs(ctx.mpc(dft(grid).samples[1]) - unshifted) - 0.5) \
+            < 1e-45
 
     def test_k5_r3_tight(self):
         report = check_bernoulli_row(5, 3)
@@ -244,7 +298,7 @@ class TestZetaRows:
         ctx = DEFAULT_PRECISION.context()
         report = check_zeta_row(2, 2)
         assert report.passed
-        expected = 4 * periodic_zeta(2, Fraction(1, 2))
+        expected = 4 * ctx.mpc(periodic_zeta(2, Fraction(1, 2)))
         assert abs(expected + ctx.pi ** 2 / 3) < 1e-55
 
     def test_rows_pass(self):
@@ -257,15 +311,18 @@ class TestZetaRows:
     def test_memo_conjugates_folded_values_exactly(self, s,
                                                    clear_zeta_caches):
         # l(s, x) and l(s, 1 - x) share one value, computed at the folded
-        # argument and conjugated on the way out; l(s, 0) is zeta(s, 1)
-        ctx = DEFAULT_PRECISION.context()
+        # argument and conjugated on the way out; l(s, 0) is zeta(s, 1)'s
+        # integer sum, rounded to the working precision
         for x in (Fraction(3, 5), Fraction(2, 3), Fraction(3, 4),
                   Fraction(5, 6), Fraction(12, 13)):
             fresh = _folded_periodic_zeta.__wrapped__(s, 1 - x,
                                                       DEFAULT_PRECISION)
-            assert periodic_zeta(s, x) == ctx.conj(fresh)
+            re, im, bits = fresh
+            assert periodic_zeta(s, x) == Fixed((re, -im, bits))
             assert periodic_zeta(s, 1 - x) == fresh
-        assert periodic_zeta(s, 0) == ctx.mpc(hurwitz_zeta(s, 1))
+        total, scale = _hurwitz_zeta(s, Fraction(1), DEFAULT_PRECISION)
+        assert periodic_zeta(s, 0) == Fixed((
+            round(Fraction(total, 2 ** (scale - bits))), 0, bits))
         assert _folded_periodic_zeta.cache_info().misses == 5 + 1
 
 

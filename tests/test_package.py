@@ -32,7 +32,9 @@ def test_import_loads_no_other_layer(module):
 
 # Modules that only some commands need: dataclasses (with inspect) in none,
 # hashlib (with OpenSSL's _hashlib) only under --cache, mpmath only in the
-# commands that build an mpmath context, pcores.fourier only in verify fft.
+# commands that build an mpmath context (cp, verify dirichlet-series and
+# verify eta-transform), pcores.fourier only in verify fft, whose table is
+# computed in fixed-point integers.
 OPTIONAL_MODULES = ("dataclasses", "inspect", "hashlib", "_hashlib",
                     "mpmath", "pcores.fourier")
 
@@ -43,7 +45,7 @@ LOAD_CASES = [
     (["approx", "--p", "17", "--n", "100000", "--method", "singular"], []),
     (["verify", "fft", "--kmax", "2", "--rmax", "1", "--smax", "2",
       "--pmax", "3", "--grids", "2", "--grid-kmax", "2"],
-     ["mpmath", "pcores.fourier"]),
+     ["pcores.fourier"]),
     (["count", "--p", "5", "--n", "10", "--cache", "CACHE"],
      ["_hashlib", "hashlib"]),
     (["series", "--p", "5", "--max-n", "10"], []),

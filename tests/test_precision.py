@@ -1,4 +1,5 @@
-"""Precision configuration, binary rounding, pi, and the decimal renderer."""
+"""Precision configuration, binary rounding, fixed-point pi, logarithms
+and square roots, and the decimal renderer."""
 
 import random
 from fractions import Fraction
@@ -6,8 +7,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from pcores.precision import (PrecisionConfig, decimal_str, pi_fixed,
-                              round_binary, to_mpf)
+from pcores.precision import (Fixed, PrecisionConfig, decimal_str, log_fixed,
+                              pi_fixed, round_binary, shift_round, sqrt_fixed,
+                              to_mpf)
 
 
 class TestPrecisionConfig:
@@ -39,6 +41,56 @@ def test_pi_fixed_within_two_units():
     ctx.prec = 5000
     for bits in (1, 2, 10, 53, 100, 237, 500, 1000, 4000):
         assert abs(pi_fixed(bits) - ctx.ldexp(ctx.pi, bits)) < 2, bits
+
+
+# the scales the fixed-point functions are checked at: 20, 60 and 100
+# working digits, each with GUARD_BITS, and a scale of a few thousand bits
+_SCALES = (103, 135, 236, 268, 369, 401, 3400)
+
+
+def test_log_fixed_within_one_unit():
+    # against mpmath at three times the bits, from far below 1 to far
+    # above it and across the reduction's 3/2 boundary
+    ctx = mpmath.mp.clone()
+    rng = random.Random(2)
+    for bits in _SCALES:
+        ctx.prec = 3 * bits
+        values = [1, 1 << bits, 3 << bits - 1, (3 << bits - 1) - 1,
+                  (1 << bits) - 1, 1 << 2 * bits]
+        values += [rng.randrange(1, 1 << rng.randrange(1, 2 * bits))
+                   for _ in range(30)]
+        for x in values:
+            exact = ctx.ldexp(ctx.log(ctx.ldexp(x, -bits)), bits)
+            assert abs(log_fixed(x, bits) - exact) <= 1, (bits, x)
+
+
+def test_sqrt_fixed_rounds_to_nearest():
+    # (2r - 1)^2 < 4 * n * 4^bits < (2r + 1)^2: r is sqrt(n) * 2^bits
+    # rounded to the nearest integer (a square root is never a half)
+    for bits in (0, 1, 53, 236, 401):
+        for n in list(range(100)) + [2 ** 61 - 1, 10 ** 30 + 7]:
+            r = sqrt_fixed(n, bits)
+            assert (2 * r - 1) ** 2 < 4 * n << 2 * bits or n == r == 0
+            assert 4 * n << 2 * bits < (2 * r + 1) ** 2
+
+
+def test_shift_round():
+    assert [shift_round(n, 1) for n in (-3, -2, -1, 0, 1, 2, 3)] \
+        == [-1, -1, 0, 0, 1, 1, 2]
+    assert shift_round(5, -3) == 40 and shift_round(-7, 0) == -7
+    assert shift_round((3 << 100) - 1, 100) == 3
+
+
+def test_fixed_reads_exactly_in_mpmath():
+    # mpc() takes a Fixed's raw tuples exactly, whatever the context's
+    # precision; Fixed is a plain tuple to everything else
+    value = Fixed(((1 << 300) + 1, -3, 301))
+    ctx = mpmath.mp.clone()
+    ctx.prec = 400
+    got = ctx.mpc(value)
+    assert got.real == ctx.mpf(0.5) + ctx.ldexp(1, -301)
+    assert got.imag == -ctx.ldexp(3, -301)
+    assert value == ((1 << 300) + 1, -3, 301)
 
 
 def _exact(x) -> Fraction:

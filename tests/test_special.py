@@ -9,13 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pcores.special
-from oracles import exact, hurwitz_zeta_formula, periodic_zeta_by_mpf
-from pcores.precision import (DEFAULT_PRECISION, GUARD_DIGITS,
-                              PrecisionConfig, PrecisionError, _context)
-from pcores.special import (_log_series, cot_derivative, cot_polynomial,
-                            hurwitz_zeta, hurwitz_zeta_neg, periodic_zeta)
+from oracles import exact, hurwitz_zeta_formula
+from pcores.precision import (DEFAULT_PRECISION, GUARD_BITS, PrecisionConfig,
+                              PrecisionError)
+from pcores.special import (_horner, _log_series, cot_derivative,
+                            cot_polynomial, hurwitz_zeta, hurwitz_zeta_neg,
+                            periodic_zeta)
 
-HIGH = PrecisionConfig.for_digits(80)
+HIGH = PrecisionConfig(80)
 
 # (s, a) for the Hurwitz zeta checks: s in 2, 3, 5, 8, 13, 30 at every a
 # in (0, 1] with denominator <= 6, and the s = 29, a = j/59 that the
@@ -233,8 +234,8 @@ class TestHurwitzZetaNegative:
 
 
 def _coefficients(series):
-    """(m, c) for each stored coefficient of a log series (E, O, H): c is
-    (-1)^(m//2) * c_m, the m-th power of i*t folded into t^m."""
+    """(m, d) for each stored coefficient of a log series (E, O, K, H): d is
+    (-1)^(m//2) * c_m * pi^m, the m-th power of i*pi*v folded into v^m."""
     for parity, part in enumerate(series[:2]):
         for i, c in enumerate(part):
             yield 2 * i + parity, c
@@ -243,20 +244,20 @@ def _coefficients(series):
 class TestPeriodicZeta:
     def test_at_integer_phase(self):
         ctx = DEFAULT_PRECISION.context()
-        value = periodic_zeta(2, 0)
+        value = ctx.mpc(periodic_zeta(2, 0))
         assert abs(value - ctx.pi ** 2 / 6) < 1e-58
 
     def test_at_half_phase(self):
         # l(2, 1/2) = sum (-1)^n / n^2 = -pi^2/12
         ctx = DEFAULT_PRECISION.context()
-        value = periodic_zeta(2, Fraction(1, 2))
+        value = ctx.mpc(periodic_zeta(2, Fraction(1, 2)))
         assert abs(value + ctx.pi ** 2 / 12) < 1e-58
 
     def test_conjugation_symmetry(self):
         for x in (Fraction(1, 7), Fraction(2, 5), Fraction(5, 11)):
             ctx = DEFAULT_PRECISION.context()
-            a = periodic_zeta(3, x)
-            b = periodic_zeta(3, 1 - x)
+            a = ctx.mpc(periodic_zeta(3, x))
+            b = ctx.mpc(periodic_zeta(3, 1 - x))
             assert abs(a - ctx.conj(b)) < 1e-55
 
     def test_against_partial_sums(self):
@@ -270,7 +271,7 @@ class TestPeriodicZeta:
                 partial = ctx.fsum(z ** n / ctx.mpf(n) ** s
                                    for n in range(1, M + 1))
                 bound = 2 / (abs(1 - z) * ctx.mpf(M) ** s)
-                value = periodic_zeta(s, x)
+                value = ctx.mpc(periodic_zeta(s, x))
                 assert abs(value - partial) <= bound + ctx.mpf(10) ** -55
 
     def test_hurwitz_combination(self):
@@ -284,7 +285,8 @@ class TestPeriodicZeta:
                         ctx.expjpi(2 * ctx.mpf(j * h) / k)
                         * hurwitz_zeta(s, Fraction(j, k) if j else 1)
                         for j in range(k))
-                    expected = ctx.mpf(k) ** s * periodic_zeta(s, Fraction(h, k))
+                    expected = (ctx.mpf(k) ** s
+                                * ctx.mpc(periodic_zeta(s, Fraction(h, k))))
                     assert abs(total - expected) < 1e-55
 
     @pytest.mark.parametrize("digits", [20, 40, 60, 100])
@@ -304,10 +306,10 @@ class TestPeriodicZeta:
     def test_series_cut_where_documented(self, digits):
         # the last coefficient kept has |c_m| * pi^m >= eps/8 and the next
         # nonzero one, c_(m+2), falls below it
-        ctx = PrecisionConfig(digits).context()
-        cut = _POLYLOG.mpf(ctx.eps) / 8
+        config = PrecisionConfig(digits)
+        cut = _POLYLOG.ldexp(1, -config.working_bits - 2)  # eps/8
         for s in range(2, 9):
-            even, odd, _ = _log_series(ctx, s)
+            even, odd, _, _ = _log_series(s, config)
             m = max(2 * len(even) - 2, 2 * len(odd) - 1)
             assert m > s
             for n, kept in ((m, True), (m + 2, False)):
@@ -316,53 +318,67 @@ class TestPeriodicZeta:
                 assert (size >= cut) is kept
 
     @pytest.mark.parametrize("digits", [20, 60, 100])
-    def test_matches_mpf_expression(self, digits):
-        # the raw-tuple Horner sums round where the mpf expressions do
+    def test_horner_matches_exact_evaluation(self, digits):
+        # the integer Horner sums of E and O at v^2 = (a/b)^2, each product
+        # floored, lie at most len(coefficients) units below the exact
+        # rational sums of the same integers, never above them
         config = PrecisionConfig(digits)
-        ctx = config.context()
-        high = _context(ctx.dps + GUARD_DIGITS)
         for s in range(2, 9):
-            series = _log_series(ctx, s)
-            for x in {Fraction(h, q) for q in range(2, 9)
+            even, odd, _, _ = _log_series(s, config)
+            for x in {Fraction(h, q) for q in range(2, 14)
                       for h in range(1, q // 2 + 1)}:
-                expected = periodic_zeta_by_mpf(ctx, high, series, s, x)
-                assert periodic_zeta(s, x, config)._mpc_ == expected._mpc_
+                u = (2 * x) ** 2
+                for coeffs in (even, odd):
+                    exact_sum = sum(c * u ** m for m, c in enumerate(coeffs))
+                    value = _horner(coeffs, u.numerator, u.denominator)
+                    assert 0 <= exact_sum - value < len(coeffs)
 
     @pytest.mark.parametrize("digits", [20, 60, 100])
     def test_coefficients_within_two_units_of_zeta(self, digits):
-        # each stored coefficient (-1)^(m//2) * zeta(s-m)/m! against
-        # mpmath's zeta at twice the digits, within 2 units of the last bit
-        # of the guard context that holds it
-        ctx = PrecisionConfig(digits).context()
-        high = _context(ctx.dps + GUARD_DIGITS)
+        # each stored coefficient (-1)^(m//2) * zeta(s-m) * pi^m / m!
+        # against mpmath's zeta at twice the digits, within 2 units of the
+        # scale, GUARD_BITS beyond the working precision, that holds it
+        config = PrecisionConfig(digits)
+        scale = config.working_bits + GUARD_BITS
         reference = mpmath.mp.clone()
-        reference.dps = 2 * high.dps
+        reference.prec = 2 * scale
         for s in range(2, 13):
-            for m, c in _coefficients(_log_series(ctx, s)):
+            for m, d in _coefficients(_log_series(s, config)):
                 if m == s - 1:
-                    assert c == 0
+                    assert d == 0
                     continue
                 expected = ((-1) ** (m // 2) * reference.zeta(s - m)
-                            / math.factorial(m))
-                unit = reference.ldexp(1, high.mag(c) - high.prec)
-                assert abs(c - expected) <= 2 * unit
+                            * reference.pi ** m / math.factorial(m))
+                assert abs(d - reference.ldexp(expected, scale)) <= 2
 
     @pytest.mark.parametrize("digits", [20, 60, 100])
     def test_bernoulli_coefficients_correctly_rounded(self, digits):
         # from m = s on, c_m = zeta(-n)/m! = (-1)^n * B_(n+1)/((n+1) * m!),
-        # n = m - s, is exact: each is its one correct rounding in the
-        # guard context
-        ctx = PrecisionConfig(digits).context()
-        high = _context(ctx.dps + GUARD_DIGITS)
+        # n = m - s, is exact, and d_m = c_m * pi^m is within half a unit
+        # plus 2^-8 of the scale, against pi at three times the bits; so
+        # are K = pi^(s-1)/(s-1)! and the harmonic number H_(s-1)
+        config = PrecisionConfig(digits)
+        scale = config.working_bits + GUARD_BITS
+        reference = mpmath.mp.clone()
+        reference.prec = 3 * scale
+        bound = reference.mpf(1) / 2 + reference.mpf(2) ** -8
         for s in range(2, 13):
-            for m, c in _coefficients(_log_series(ctx, s)):
+            series = _log_series(s, config)
+            for m, d in _coefficients(series):
                 if m >= s:
                     n = m - s
-                    value = ((-1) ** (m // 2 + n)
-                             * Fraction(*mpmath.bernfrac(n + 1))
-                             / ((n + 1) * math.factorial(m)))
-                    expected = high.fdiv(value.numerator, value.denominator)
-                    assert c._mpf_ == expected._mpf_
+                    c = ((-1) ** (m // 2 + n)
+                         * Fraction(*mpmath.bernfrac(n + 1))
+                         / ((n + 1) * math.factorial(m)))
+                    expected = reference.ldexp(
+                        c.numerator * reference.pi ** m / c.denominator, scale)
+                    assert abs(d - expected) <= bound
+            K, harmonic = series[2:]
+            expected = reference.ldexp(reference.pi ** (s - 1)
+                                       / math.factorial(s - 1), scale)
+            assert abs(K - expected) <= bound
+            exact_h = sum(Fraction(1, j) for j in range(1, s)) * 2 ** scale
+            assert abs(harmonic - exact_h) <= Fraction(1, 2)
 
     def test_coefficients_keyed_on_precision(self, clear_zeta_caches):
         # a 100-digit value after a 40-digit one must not reuse 40-digit
