@@ -30,6 +30,8 @@ FOURIER = "tests/test_fourier.py"
 GOLDEN = "tests/test_cli.py::test_golden_rendering"
 RENDERER = "tests/test_precision.py::test_decimal_str_is_nstr"
 SPECIAL = "tests/test_special.py"
+VARIANTS = ("tests/test_asympt.py::TestLeadingConstant::"
+            "test_numeric_variants_within_a_rounding")
 
 # (file under src/pcores, exact old text, new text, tests that must fail)
 MUTANTS = (
@@ -130,6 +132,21 @@ MUTANTS = (
      "    return (math.isqrt(n << 2 * bits + 2) + 1) >> 1",
      "    return math.isqrt(n << 2 * bits)",
      "tests/test_precision.py::test_sqrt_fixed_rounds_to_nearest"),
+    # the integer cores of the leading constant: variant i's power of pi
+    # one bit short, the Legendre twist dropped from the Hurwitz sum, and
+    # variant iii's power of 2 one short
+    ("asympt.py",
+     "        power = pi_fixed(F) ** half >> (half - 1) * F << half",
+     "        power = pi_fixed(F) ** half >> (half - 1) * F + 1 << half",
+     VARIANTS),
+    ("asympt.py",
+     "legendre_symbol(j, p)\n                        * hurwitz_zeta(",
+     "hurwitz_zeta(",
+     "tests/test_asympt.py::TestDirichletSeries::test_s3"),
+    ("asympt.py",
+     "            2 ** (r + 2) << 2 * F), prec)",
+     "            2 ** (r + 1) << 2 * F), prec)",
+     VARIANTS),
     # a command that builds no mpmath context must not load mpmath
     ("precision.py",
      "from typing import NamedTuple\n",

@@ -20,9 +20,8 @@ from typing import NamedTuple
 
 from .arith import (bernoulli_poly, dedekind_sum, divisors, is_prime,
                     legendre_symbol, ramanujan_sum, sawtooth)
-from .precision import (DEFAULT_PRECISION, PrecisionConfig,
-                        VerificationError, pi_fixed, round_binary, sqrt_fixed,
-                        to_mpf)
+from .precision import (DEFAULT_PRECISION, GUARD_BITS, PrecisionConfig, Real,
+                        VerificationError, pi_fixed, round_binary, sqrt_fixed)
 from .series import pcore_count
 from .special import (cot_derivative, cot_polynomial, hurwitz_zeta,
                       hurwitz_zeta_neg)
@@ -124,7 +123,7 @@ class ApproxReport(NamedTuple):
     p: int
     n: int
     method: str
-    estimate: Fraction
+    estimate: Real
     kmax: int | None = None
     exact: int | None = None
     relative_error: float | None = None
@@ -230,47 +229,60 @@ def leading_constant(p: int, variant: str,
     v    sqrt(p) * 2^(-(p-1)/2) * half-range sum of cot^((p-3)/2) at j^2/p
     vi   Bernoulli half-range companion of v                               [exact]
 
-    Variants v and vi exist only for p = 3 mod 4.  Numeric variants return
-    working-precision values, exact ones return Fractions; signs are the
-    formulas' own and are reconciled by leading_constant_report.
+    Variants v and vi exist only for p = 3 mod 4.  Exact variants return
+    Fractions; numeric ones return a Real, exact rational arithmetic on
+    integers with F = prec + GUARD_BITS fraction bits for the working
+    precision prec, rounded once: sqrt(p) and pi within two units, each
+    cotangent derivative within (r+2) * (p/pi)^(r+1) units, and the Hurwitz
+    sum (see _twisted_hurwitz_sum) far finer than 2^-prec, so each value
+    is within a relative 2^-prec of its formula.  Signs are the formulas'
+    own and are reconciled by leading_constant_report.
     """
     _require_p(p)
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     half = (p - 1) // 2
     r = half - 1  # = (p-3)/2
+    prec = config.working_bits
+    F = prec + GUARD_BITS
     if variant == "i":
-        ctx = config.context()
+        # (2*pi)^half * 2^F, from pi^half * 2^(half*F)
+        power = pi_fixed(F) ** half >> (half - 1) * F << half
         total = _twisted_hurwitz_sum(p, half, config)
-        return ctx.sqrt(p) * ctx.factorial(r) / (2 * ctx.pi) ** half * total
+        return round_binary(
+            total * sqrt_fixed(p, F) * math.factorial(r) / power, prec)
     if variant == "ii":
         total = sum(legendre_symbol(j, p) * hurwitz_zeta_neg(r, Fraction(j, p))
                     for j in range(1, p))
         return Fraction(legendre_symbol(-2, p), 2) * p ** half * total
     if variant == "iii":
-        ctx = config.context()
-        total = ctx.fsum(legendre_symbol(j, p)
-                         * cot_derivative(r, Fraction(j, p), config)
-                         for j in range(1, p))
-        return -legendre_symbol(-1, p) * ctx.sqrt(p) * total / 2 ** (r + 2)
+        total = sum(legendre_symbol(j, p)
+                    * cot_derivative(r, Fraction(j, p), F)
+                    for j in range(1, p))
+        return round_binary(Fraction(
+            -legendre_symbol(-1, p) * sqrt_fixed(p, F) * total,
+            2 ** (r + 2) << 2 * F), prec)
     if variant == "iv":
         return -legendre_symbol(-2, p) * (-1) ** ((r - 1) // 2) \
             * bernoulli_char_sum(r, p)
     if p % 4 != 3:
         raise ValueError("variants v and vi require p = 3 mod 4")
     if variant == "v":
-        ctx = config.context()
-        return ctx.sqrt(p) / 2 ** (r + 1) * ctx.fsum(
-            cot_derivative(r, Fraction(j * j % p, p), config)
-            for j in range(1, (p - 1) // 2 + 1))
+        total = sum(cot_derivative(r, Fraction(j * j % p, p), F)
+                    for j in range(1, half + 1))
+        return round_binary(Fraction(sqrt_fixed(p, F) * total,
+                                     2 ** (r + 1) << 2 * F), prec)
     return _quadratic_bernoulli_side(r, p)
 
 
-def _twisted_hurwitz_sum(p: int, s: int, config: PrecisionConfig):
-    # sum_j (j|p) * zeta(s, j/p) over j = 1..p-1, at the working precision
-    return config.context().fsum(legendre_symbol(j, p)
-                                 * hurwitz_zeta(s, Fraction(j, p), config)
-                                 for j in range(1, p))
+def _twisted_hurwitz_sum(p: int, s: int, config: PrecisionConfig) -> Fraction:
+    # sum_j (j|p) * zeta(s, j/p) over j = 1..p-1, exactly for the zeta
+    # values taken GUARD_DIGITS finer, whose Euler-Maclaurin cut then lies
+    # far below the working precision's last bit
+    finer = PrecisionConfig(config.working_dps)
+    return Fraction(sum(legendre_symbol(j, p)
+                        * hurwitz_zeta(s, Fraction(j, p), finer)[0]
+                        for j in range(1, p)), 1 << finer.working_bits)
 
 
 def _certified_constant(p: int, exact: Fraction) -> int:
@@ -311,15 +323,11 @@ def leading_constant_report(p: int,
         raise VerificationError(
             f"leading constant for p={p} not positive: {-magnitude}")
     tolerance = 10.0 ** -(config.decimal_digits // 2)
-    # Both sides of each float division are scaled by one power of two, an
-    # exact step that keeps constants above 10^308 in float range.
-    scale = 2 ** max(0, magnitude.bit_length() - 1000)
     residuals = {}
     signs = {}
     for name, value in values.items():
         signs[name] = 1 if value > 0 else -1
-        residuals[name] = float(abs(abs(value) - magnitude) / scale) \
-            / (magnitude / scale)
+        residuals[name] = float(abs(abs(value) - magnitude) / magnitude)
         if residuals[name] > tolerance:
             raise VerificationError(
                 f"variant {name} for p={p} off consensus {magnitude} by "
@@ -518,8 +526,8 @@ def verify_dedekind_parity(p: int, kmax: int) -> ConjectureReport:
 class DirichletSeriesReport(NamedTuple):
     """Partial Dirichlet series against its closed form, with a tail bound."""
 
-    partial_sum: object
-    closed_form: object
+    partial_sum: Real
+    closed_form: Real
     tail_bound: float
     tolerance: float
     deviation: float
@@ -541,7 +549,9 @@ def verify_dirichlet_series(p: int, s: int, n: int, kmax: int,
     approx_singular_series) at exponent 1+s: each exact rational term is
     cut once to an integer multiple of 2^-W, W = prec + bit_length(kmax)
     + 4 for the working precision prec, so the exact integer sum is within
-    2^-(prec+4) of the partial sum; it is rounded once to prec bits."""
+    2^-(prec+4) of the partial sum; it is rounded once to prec bits.  The
+    closed form, the exact divisor sum over _twisted_hurwitz_sum, is
+    rounded once as well."""
     _require_p(p)
     if s < 2:
         raise ValueError("s must be >= 2 for absolute convergence headroom")
@@ -549,14 +559,13 @@ def verify_dirichlet_series(p: int, s: int, n: int, kmax: int,
         raise ValueError("n must be >= 1")
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    ctx = config.context()
-    W = ctx.prec + kmax.bit_length() + 4
+    prec = config.working_bits
+    W = prec + kmax.bit_length() + 4
     total = _twisted_ramanujan_sum(p, n, 1 + s, kmax, W)
-    partial = ctx.mpf((total, -W))
-    dsum = ctx.fsum(legendre_symbol(d, p) * ctx.mpf(d) ** (-s)
-                    for d in divisors(n))
-    denom = _twisted_hurwitz_sum(p, 1 + s, config)
-    closed = ctx.mpf(p) ** (1 + s) * dsum / denom
+    partial = round_binary(Fraction(total, 1 << W), prec)
+    dsum = sum(Fraction(legendre_symbol(d, p), d ** s) for d in divisors(n))
+    closed = round_binary(
+        p ** (1 + s) * dsum / _twisted_hurwitz_sum(p, 1 + s, config), prec)
     sigma = sum(divisors(n))
     tail = sigma * float(kmax) ** (-s) / s
     deviation = float(abs(partial - closed))
@@ -641,20 +650,20 @@ def verify_eta_transform(p: int, h: int, k: int, t: float, factors: int = 400,
     t = ctx.mpf(t)
     half = (p - 1) // 2
 
-    x = ctx.expjpi(to_mpf(ctx, Fraction(2 * h, k))) * ctx.exp(-t)
+    x = ctx.expjpi(ctx.fdiv(2 * h, k)) * ctx.exp(-t)
     prod_n, prod_pn, lhs_bound = eta_products(p, x, factors, config)
     lhs = prod_pn ** p / prod_n
 
     b = 0 if k == 1 else (-pow(p * h % k, -1, k)) % k
-    y = ctx.expjpi(to_mpf(ctx, Fraction(2 * b, k))) \
+    y = ctx.expjpi(ctx.fdiv(2 * b, k)) \
         * ctx.exp(-4 * ctx.pi ** 2 / (k * k * p * t))
     prod_n, prod_pn, rhs_bound = eta_products(p, y, factors, config)
 
     prefactor = (2 * ctx.pi / k) ** half \
-        * ctx.power(p, -to_mpf(ctx, Fraction(p, 2))) * legendre_symbol(k, p)
+        * ctx.power(p, -ctx.fdiv(p, 2)) * legendre_symbol(k, p)
     prefactor *= t ** (-half)
     phase = ctx.exp((p * p - 1) * t / 24) \
-        * ctx.expjpi(-to_mpf(ctx, Fraction((p * p - 1) * h, 12 * k) % 2))
+        * ctx.expjpi(-ctx.fdiv((p * p - 1) * h % (24 * k), 12 * k))
     rhs = prefactor * phase * (prod_n ** p / prod_pn)
 
     scale = float(abs(lhs))

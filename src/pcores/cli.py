@@ -33,7 +33,7 @@ from .asympt import (approx_divisor_sum, approx_singular_series,
                      verify_quadratic_trig_identity, verify_ramanujan_identity,
                      VARIANTS, CLASS_NUMBER_METHODS)
 from .precision import (DEFAULT_PRECISION, PrecisionConfig, PrecisionError,
-                        VerificationError, decimal_str)
+                        Real, VerificationError, decimal_str)
 from .series import pcore_count, pcore_series
 
 DEFAULT_DIGITS = DEFAULT_PRECISION.decimal_digits
@@ -51,7 +51,10 @@ def _resolve_precision(args) -> PrecisionConfig:
 
 
 def _number_str(value, config: PrecisionConfig) -> str:
-    """Exact decimal for integers and Fractions, nstr for mp values."""
+    """decimal_str for a Real, the exact value of an int or any other
+    Fraction, and nstr for the eta check's mpmath values."""
+    if isinstance(value, Real):
+        return decimal_str(value, config)
     if isinstance(value, (int, Fraction)):
         return str(value)
     ctx = config.context()

@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .arith import bernoulli_number, bernoulli_poly, is_prime, legendre_symbol
 from .precision import (DEFAULT_PRECISION, GUARD_BITS, Fixed, PrecisionConfig,
                         roots_fixed, shift_round, sqrt_fixed)
-from .special import _cot_derivative_fixed, _zeta_fixed, periodic_zeta
+from .special import cot_derivative, hurwitz_zeta, periodic_zeta
 
 
 class GridFunction(NamedTuple):
@@ -155,8 +155,7 @@ def check_bernoulli_row(k: int, r: int,
     den = k ** (r - 1) << r + GUARD_BITS  # k*r/(2k)^r = r/(2^r * k^(r-1))
     closed = [bernoulli_number(r) / k ** (r - 1)]
     for mu in range(1, k):
-        cot = r * _cot_derivative_fixed(r - 1, Fraction(mu, k),
-                                        bits + GUARD_BITS)
+        cot = r * cot_derivative(r - 1, Fraction(mu, k), bits + GUARD_BITS)
         v = (2 * cot + den) // (2 * den)
         re, im = ((v, 0), (0, v), (-v, 0), (0, -v))[r % 4]  # times i^r
         closed.append(Fixed((re - half, im, bits)))
@@ -192,7 +191,7 @@ def check_zeta_row(k: int, s: int,
     scale = k ** s
     return _row(
         "zeta", k, {"s": s},
-        (_zeta_fixed(s, Fraction(j, k) if j else Fraction(1), config)
+        (hurwitz_zeta(s, Fraction(j, k) if j else 1, config)
          for j in range(k)),
         (Fixed((scale * re, scale * im, bits)) for re, im, bits in
          (periodic_zeta(s, Fraction(k - mu, k), config) for mu in range(k))),

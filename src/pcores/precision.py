@@ -1,14 +1,15 @@
 """Working-precision configuration, fixed-point elementary functions, the
 one real-number renderer, and the errors of checked computations.
 
-A real number in this package is a Fraction rounded once to the working
-precision by :func:`round_binary` and printed by :func:`decimal_str`,
-which gives the digits mpmath's ``nstr`` would; an integer times 2^-bits
-(a :class:`Fixed` if complex), with pi, roots of unity, logarithms and
-square roots summed here; or a value produced inside an mpmath context
-cloned for a specific :class:`PrecisionConfig`, so callers with different
-precision needs never share mutable global state.  Integers are never
-rounded from such values: each one is computed exactly.  mpmath is
+A real number in this package is a :class:`Real`, a Fraction rounded once
+to the working precision by :func:`round_binary` and printed by
+:func:`decimal_str`, which gives the digits mpmath's ``nstr`` would; an
+integer times 2^-bits (a :class:`Fixed` if complex), with pi, roots of
+unity, logarithms and square roots summed here; or, in the
+modular-transformation check alone, a value produced inside an mpmath
+context cloned for a specific :class:`PrecisionConfig`, so callers with
+different precision needs never share mutable global state.  Integers are
+never rounded from such values: each one is computed exactly.  mpmath is
 imported where the first context is built, so a command that builds none
 never loads it.
 """
@@ -87,18 +88,20 @@ def _context(dps: int):
     return ctx
 
 
-def to_mpf(ctx, value: Fraction):
-    """The Fraction ``value`` as an mpf of ``ctx``, by one correctly rounded
-    division (mpf() does not accept Fractions)."""
-    return ctx.fdiv(value.numerator, value.denominator)
+class Real(Fraction):
+    """A real value rounded once to the working precision: what
+    round_binary returns, and what the CLI prints through decimal_str."""
+
+    __slots__ = ()
 
 
-def round_binary(value: Fraction, bits: int) -> Fraction:
+def round_binary(value: Fraction, bits: int) -> Real:
     """``value`` rounded to the nearest number with a ``bits``-bit
-    mantissa, ties to even: what to_mpf gives at a precision of ``bits``."""
+    mantissa, ties to even: what mpmath's correctly rounded division gives
+    at a precision of ``bits``."""
     num, den = abs(value.numerator), value.denominator
     if not num:
-        return value
+        return Real(0)
     # num/den * 2^shift lies in (2^(bits-1), 2^(bits+1)); keep bits bits
     shift = bits - num.bit_length() + den.bit_length()
     num, den = num << max(shift, 0), den << max(-shift, 0)
@@ -110,20 +113,14 @@ def round_binary(value: Fraction, bits: int) -> Fraction:
         quotient += 1
     if value < 0:
         quotient = -quotient
-    return Fraction(quotient, 1 << shift) if shift > 0 \
-        else Fraction(quotient << -shift)
+    return Real(quotient, 1 << shift) if shift > 0 \
+        else Real(quotient << -shift)
 
 
 class Fixed(tuple):
-    """(re + i*im) * 2^-bits as the tuple (re, im, bits); mpmath reads it
-    exactly through _mpc_, which imports mpmath only when it is read."""
+    """(re + i*im) * 2^-bits as the tuple (re, im, bits)."""
 
     __slots__ = ()
-
-    @property
-    def _mpc_(self):
-        from mpmath.libmp import from_man_exp
-        return tuple(from_man_exp(part, -self[2]) for part in self[:2])
 
 
 def shift_round(n: int, shift: int) -> int:
@@ -194,14 +191,15 @@ def log_fixed(x: int, bits: int) -> int:
 
 
 def decimal_str(value: Fraction, config: PrecisionConfig) -> str:
-    """``nstr(to_mpf(ctx, value), decimal_digits)`` for the context of
-    ``config``, without mpmath, step for step as libmpf's to_str: ``value``
-    rounded to the working precision, floored to about decimal_digits + 6
-    digits through the same fixed-point conversion, rounded half up on the
-    digit after the last kept, printed in fixed notation when the leading
-    digit's decimal exponent lies strictly between min(-(digits // 3), -5)
-    and digits, and stripped of trailing zeros.  Beyond 2^+-3500, where
-    mpmath first divides by a rounded power of ten, the floor is exact.
+    """``nstr(ctx.fdiv(value.numerator, value.denominator), decimal_digits)``
+    for the context of ``config``, without mpmath, step for step as
+    libmpf's to_str: ``value`` rounded to the working precision, floored to
+    about decimal_digits + 6 digits through the same fixed-point
+    conversion, rounded half up on the digit after the last kept, printed
+    in fixed notation when the leading digit's decimal exponent lies
+    strictly between min(-(digits // 3), -5) and digits, and stripped of
+    trailing zeros.  Beyond 2^+-3500, where mpmath first divides by a
+    rounded power of ten, the floor is exact.
     """
     rounded = round_binary(value, config.working_bits)
     if not rounded:

@@ -5,10 +5,11 @@ its exact rational values at nonpositive integer arguments, the periodic
 zeta function on the unit circle from its log series, and arbitrary-order
 derivatives of the cotangent through an integer-coefficient polynomial
 recurrence.  Every value is summed in integers on a binary scale, with
-pi, roots of unity and log from pcores.precision.  Only hurwitz_zeta and
-cot_derivative, for the leading constant and the Dirichlet check, build
-mpf values; periodic_zeta returns a precision.Fixed, so the transform
-table, which reads the integer sums, never loads mpmath.
+pi, roots of unity and log from pcores.precision: hurwitz_zeta and
+periodic_zeta return a precision.Fixed on the working precision's scale,
+and cot_derivative an integer on the scale its caller names, so no value
+here builds an mpf and the transform table, the leading constant and the
+Dirichlet check never load mpmath.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from fractions import Fraction
 
 from .arith import bernoulli_number, bernoulli_poly
 from .precision import (DEFAULT_PRECISION, GUARD_BITS, GUARD_DIGITS, Fixed,
-                        PrecisionConfig, PrecisionError, log_fixed, pi_fixed,
-                        roots_fixed, shift_round)
+                        PrecisionConfig, PrecisionError, decimal_str,
+                        log_fixed, pi_fixed, roots_fixed, shift_round)
 
 
 @functools.lru_cache(maxsize=None)
@@ -45,15 +46,21 @@ def cot_polynomial(r: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _cot_derivative_fixed(r: int, q: Fraction, bits: int) -> int:
+def cot_derivative(r: int, q, bits: int) -> int:
     """cot^(r)(pi*q) * 2^bits for r >= 0 and rational q = m/den in (0, 1).
 
-    t = cot(pi*q) is cos/sin of the root e^(-2*pi*i*m/(2den)), taken
-    2 * bit_length(den) + GUARD_BITS finer, where sin(pi*q) >= 2/den keeps
-    the quotient within 2 * den^2 + 1 units, and rounded.  (-1)^r f_r(t) is
+    The sign convention is the literal derivative: cot^(r)(x) = (-1)^r
+    f_r(cot x).  t = cot(pi*q) is cos/sin of the root e^(-2*pi*i*m/(2den)),
+    taken 2 * bit_length(den) + GUARD_BITS finer, where sin(pi*q) >= 2/den
+    keeps the quotient within 2 * den^2 + 1 units, and rounded.  f_r(t) is
     summed by Horner's rule with each product floored: within (r + 2) *
     max(1, |t|)^(r + 1) units plus |f_r'(t)| times t's error.
     """
+    q = Fraction(q)
+    if not 0 < q < 1:
+        raise ValueError("cot_derivative requires 0 < q < 1")
+    if r < 0:
+        raise ValueError("cot_derivative requires r >= 0")
     scale = bits + GUARD_BITS + 2 * q.denominator.bit_length()
     real, imag = roots_fixed(scale, 2 * q.denominator)
     t = shift_round((real[q.numerator] << scale) // -imag[q.numerator],
@@ -64,36 +71,17 @@ def _cot_derivative_fixed(r: int, q: Fraction, bits: int) -> int:
     return val if r % 2 == 0 else -val
 
 
-def cot_derivative(r: int, q, config: PrecisionConfig = DEFAULT_PRECISION):
-    """r-th derivative of cot at x = pi*q, for exact rational q in (0,1).
-
-    The argument is reduced while still rational; cot(pi*q), from
-    _cot_derivative_fixed GUARD_BITS finer, becomes one mpf, at which f_r
-    is evaluated.  Sign convention is the literal derivative:
-    cot^(r)(x) = (-1)^r f_r(cot x).
-    """
-    q = Fraction(q)
-    if not 0 < q < 1:
-        raise ValueError("cot_derivative requires 0 < q < 1")
-    if r < 0:
-        raise ValueError("cot_derivative requires r >= 0")
-    bits = config.working_bits + GUARD_BITS
-    c = config.context().mpf((_cot_derivative_fixed(0, q, bits), -bits))
-    val = 0
-    for coeff in reversed(cot_polynomial(r) if r else (0, 1)):
-        val = val * c + coeff
-    return val if r % 2 == 0 else -val
-
-
 @functools.lru_cache(maxsize=None)
 def _euler_maclaurin_coefficient(j: int) -> Fraction:
     """B_{2j}/(2j)!, exactly."""
     return bernoulli_number(2 * j) / math.factorial(2 * j)
 
 
-def hurwitz_zeta(s: int, a, config: PrecisionConfig = DEFAULT_PRECISION):
+def hurwitz_zeta(s: int, a,
+                 config: PrecisionConfig = DEFAULT_PRECISION) -> Fixed:
     """zeta(s, a) = sum_{n>=0} (n+a)^(-s) for integer s >= 2, rational a in
-    (0, 1]: _hurwitz_zeta's sum, cached per (s, a, config), as one mpf.
+    (0, 1]: _hurwitz_zeta's sum, cached per (s, a, config), rounded once to
+    a Fixed on the working precision's scale.
 
     Its cache_info and cache_clear are _hurwitz_zeta's, so a call by this
     name shows as a cache hit or miss however s, a and config are written.
@@ -104,7 +92,8 @@ def hurwitz_zeta(s: int, a, config: PrecisionConfig = DEFAULT_PRECISION):
     if not 0 < a <= 1:
         raise ValueError("hurwitz_zeta requires 0 < a <= 1")
     total, scale = _hurwitz_zeta(int(s), a, config)
-    return config.context().mpf((total, -scale))
+    bits = config.working_bits
+    return Fixed((shift_round(total, scale - bits), 0, bits))
 
 
 @functools.lru_cache(maxsize=None)
@@ -153,12 +142,9 @@ def _hurwitz_zeta(s: int, a: Fraction, config: PrecisionConfig):
             break
         if size > previous:
             # asymptotic tail started diverging before reaching the target
-            ctx = config.context()
-            size = ctx.mpf((size, -W))
             raise PrecisionError(
-                f"Euler-Maclaurin tail for zeta({s}, {a}) stalled at "
-                f"term size {ctx.nstr(size, 5)}"
-            )
+                f"Euler-Maclaurin tail for zeta({s}, {a}) stalled at term "
+                f"size {decimal_str(Fraction(size, 1 << W), config)}")
         previous = size
         rising *= (s + 2 * j - 1) * (s + 2 * j)
         num, den = num * q * q, den * X * X
@@ -168,13 +154,6 @@ def _hurwitz_zeta(s: int, a: Fraction, config: PrecisionConfig):
 
 hurwitz_zeta.cache_info = _hurwitz_zeta.cache_info
 hurwitz_zeta.cache_clear = _hurwitz_zeta.cache_clear
-
-
-def _zeta_fixed(s: int, a: Fraction, config: PrecisionConfig) -> Fixed:
-    """zeta(s, a) on the working precision's scale, rounded once."""
-    total, scale = _hurwitz_zeta(s, a, config)
-    bits = config.working_bits
-    return Fixed((shift_round(total, scale - bits), 0, bits))
 
 
 def hurwitz_zeta_neg(m: int, a) -> Fraction:
@@ -275,7 +254,7 @@ def _folded_periodic_zeta(s: int, x: Fraction, config: PrecisionConfig):
     there, so within half a unit plus 2^-16 once rounded.
     """
     if x == 0:
-        return _zeta_fixed(s, Fraction(1), config)
+        return hurwitz_zeta(s, 1, config)
     even, odd, K, harmonic = _log_series(s, config)
     bits = config.working_bits
     scale = bits + GUARD_BITS

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import from_man_exp
 
 
 @dataclass(frozen=True)
@@ -232,12 +233,31 @@ def hurwitz_zeta_formula(s: int, a, digits: int) -> Fraction:
         j += 1
 
 
+def fixed_mpc(ctx, value):
+    """The library's Fixed (re, im, bits), the complex number (re + i*im) *
+    2^-bits, as the mpc of ctx that it is, exactly, whatever ctx's
+    precision."""
+    re, im, bits = value
+    return ctx.make_mpc((from_man_exp(re, -bits), from_man_exp(im, -bits)))
+
+
+def cot_derivative_horner(ctx, coefficients, r: int, q: Fraction):
+    """cot^(r)(pi*q) = (-1)^r f_r(cot(pi*q)) as an mpf of ctx, for f_r's
+    ascending integer coefficients: mpmath's cot at ctx's precision, then
+    f_r by Horner's rule in ctx's arithmetic."""
+    t = ctx.cot(ctx.pi * q.numerator / q.denominator)
+    value = 0
+    for coefficient in reversed(coefficients):
+        value = value * t + coefficient
+    return value if r % 2 == 0 else -value
+
+
 def dft_exact(samples, roots, bits: int) -> list:
     """fhat(mu) = sum_j f_j e^(-2*pi*i*j*mu/k) as (re, im) integers times
     2^-bits, for roots = (real parts, imaginary parts) of e^(-2*pi*i*m/k)
     as integers times 2^-bits: each sample's exact value (an int, Fraction,
-    complex, mpmath mpf or mpc, or the library's Fixed) rounded to the
-    nearest multiple of 2^-bits, and each part of each output the exact
+    complex, mpmath mpf or mpc, or the library's Fixed, a tuple) rounded to
+    the nearest multiple of 2^-bits, and each part of each output the exact
     sum of the products, rounded once."""
     k, (cos, sin) = len(samples), roots
     values = []
@@ -246,8 +266,9 @@ def dft_exact(samples, roots, bits: int) -> list:
             parts = (Fraction(v.real), Fraction(v.imag))
         elif hasattr(v, "_mpf_"):
             parts = (exact(v), Fraction(0))
+        elif isinstance(v, tuple):
+            parts = (Fraction(v[0], 2 ** v[2]), Fraction(v[1], 2 ** v[2]))
         elif hasattr(v, "_mpc_"):
-            v = mpmath.mpc(v)  # exact: mpc() takes the raw tuples as given
             parts = (exact(v.real), exact(v.imag))
         else:
             parts = (Fraction(v), Fraction(0))

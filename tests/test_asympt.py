@@ -18,11 +18,12 @@ from pcores.asympt import (approx_divisor_sum, approx_singular_series,
                            verify_quadratic_trig_identity,
                            verify_ramanujan_identity)
 import pcores.asympt as asympt
-from oracles import exact
+from oracles import cot_derivative_horner
 from pcores.arith import divisors, is_prime, legendre_symbol, ramanujan_sum
-from pcores.precision import (DEFAULT_PRECISION, PrecisionConfig,
-                              VerificationError, to_mpf)
+from pcores.precision import (DEFAULT_PRECISION, PrecisionConfig, Real,
+                              VerificationError)
 from pcores.series import pcore_count
+from pcores.special import cot_polynomial
 
 PRIMES_5_TO_31 = (5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -81,7 +82,8 @@ class TestSingularSeries:
         ctx = DEFAULT_PRECISION.context()
         term = approx_singular_series(5, 4, 1, with_exact=False).estimate
         expected = (2 * ctx.pi) ** 2 * ctx.mpf(5) ** ctx.mpf("-2.5") * 5
-        assert abs(to_mpf(ctx, term) - expected) < 1e-50
+        assert abs(ctx.fdiv(term.numerator, term.denominator) - expected) \
+            < 1e-50
 
     def test_estimate_converges(self):
         exact = pcore_count(5, 24)
@@ -247,7 +249,6 @@ class TestLeadingConstant:
             assert leading_constant(p, "ii") == leading_constant(p, "iv")
 
     def test_half_range_signs_for_seven(self):
-        ctx = DEFAULT_PRECISION.context()
         v = leading_constant(7, "v")
         vi = leading_constant(7, "vi")
         assert abs(v - 8) < 1e-50
@@ -258,6 +259,41 @@ class TestLeadingConstant:
             leading_constant(5, "v")
         with pytest.raises(ValueError):
             leading_constant(13, "vi")
+
+    @pytest.mark.parametrize("digits", [20, 60])
+    def test_numeric_variants_within_a_rounding(self, digits):
+        # variants i, iii and v, each an integer sum rounded once, lie
+        # within a relative 2^-prec of their formulas evaluated by mpmath
+        # 20 digits finer
+        config = PrecisionConfig(digits)
+        ref = mpmath.mp.clone()
+        ref.dps = config.working_dps + 20
+        for p in (5, 7, 11, 13, 19, 23, 31, 43):
+            half = (p - 1) // 2
+            r = half - 1
+            cot = {j: cot_derivative_horner(ref, cot_polynomial(r), r,
+                                            Fraction(j, p))
+                   for j in range(1, p)}
+            zeta = ref.fsum(legendre_symbol(j, p)
+                            * ref.zeta(half, ref.mpf(j) / p)
+                            for j in range(1, p))
+            cot_sum = ref.fsum(legendre_symbol(j, p) * cot[j]
+                               for j in range(1, p))
+            expected = {
+                "i": ref.sqrt(p) * ref.factorial(r) / (2 * ref.pi) ** half
+                * zeta,
+                "iii": -legendre_symbol(-1, p) * ref.sqrt(p) / 2 ** (r + 2)
+                * cot_sum}
+            if p % 4 == 3:
+                expected["v"] = ref.sqrt(p) / 2 ** (r + 1) * ref.fsum(
+                    cot[j * j % p] for j in range(1, half + 1))
+            for variant, reference in expected.items():
+                value = leading_constant(p, variant, config)
+                assert type(value) is Real
+                gap = abs(ref.fdiv(value.numerator, value.denominator)
+                          - reference)
+                assert gap <= abs(reference) \
+                    * ref.ldexp(1, -config.working_bits), (p, variant)
 
     def test_report_consensus_values(self):
         assert leading_constant_report(11).consensus == 1275
@@ -415,16 +451,16 @@ class TestDirichletSeries:
         # the fixed-point sum is within 2^-(prec+4) of the exact partial
         # sum, and is then rounded once: half a unit in the last place
         config = PrecisionConfig(digits)
-        prec = config.context().prec
+        prec = config.working_bits
         for p, s, n in ((5, 2, 6), (7, 3, 12), (29, 3, 1), (13, 4, 30)):
             partial = verify_dirichlet_series(p, s, n, 200, config).partial_sum
-            _, _, exp, bc = partial._mpf_
-            half_ulp = Fraction(2) ** (exp + bc - prec - 1)
+            assert type(partial) is Real
+            half_ulp = abs(partial) / 2 ** prec
             expected = sum(
                 Fraction(legendre_symbol(k, p) * ramanujan_sum(k, n),
                          k ** (1 + s))
                 for k in range(1, 201) if k % p)
-            assert (abs(exact(partial) - expected)
+            assert (abs(partial - expected)
                     <= Fraction(1, 2 ** (prec + 4)) + half_ulp)
 
     def test_domain(self):

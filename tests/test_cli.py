@@ -455,49 +455,6 @@ def test_golden_rendering(capsys, monkeypatch, case):
     assert (code, out) == (case["code"], case["stdout"])
 
 
-# Gives every mpmath context a zeta that raises, then runs the requests in
-# argv[1] and prints [exit code, stdout] for each as JSON.
-_WITHOUT_MPMATH_ZETA = """
-import contextlib, io, json, sys
-import mpmath
-
-def zeta(*args, **kwargs):
-    raise AssertionError("mpmath zeta called")
-
-clone = mpmath.mp.clone
-def clone_without_zeta():
-    ctx = clone()
-    ctx.zeta = zeta
-    return ctx
-mpmath.mp.clone = clone_without_zeta
-
-from pcores.cli import run_cli
-results = []
-for argv in json.loads(sys.argv[1]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        results.append([run_cli(argv), out.getvalue()])
-print(json.dumps(results))
-"""
-
-
-def test_zeta_values_need_no_mpmath_zeta():
-    # zeta(s) at integers comes from pcores.special alone: with mpmath's
-    # zeta raising, the transform table, the leading constant and the
-    # Dirichlet check print their golden bytes
-    cases = [case for case in GOLDEN
-             if case["argv"][:2] in (["verify", "fft"], ["cp", "--p"],
-                                     ["verify", "dirichlet-series"])]
-    assert len(cases) == 9
-    result = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_MPMATH_ZETA,
-         json.dumps([case["argv"] for case in cases])],
-        capture_output=True, text=True, env=checkout_env())
-    assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == [[case["code"], case["stdout"]]
-                                         for case in cases]
-
-
 def _prepend(directory, rest):
     return os.pathsep.join(filter(None, [str(directory), rest]))
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from oracles import dft_exact, max_deviation
+from oracles import dft_exact, fixed_mpc, max_deviation
 from pcores.arith import bernoulli_poly, is_prime, legendre_symbol
 from pcores.fourier import (_max_deviation, _row, check_bernoulli_row,
                             check_legendre_row, check_zeta_row, dft,
@@ -27,7 +27,7 @@ class TestDft:
     def test_constant_grid(self):
         ctx = DEFAULT_PRECISION.context()
         g = grid_function(4, [1, 1, 1, 1])
-        hat = [ctx.mpc(v) for v in dft(g).samples]
+        hat = [fixed_mpc(ctx, v) for v in dft(g).samples]
         assert abs(hat[0] - 4) < 1e-55
         assert all(abs(v) < 1e-55 for v in hat[1:])
 
@@ -36,7 +36,7 @@ class TestDft:
         ctx = DEFAULT_PRECISION.context()
         g = grid_function(5, [1, 0, 0, 0, 0])
         hat = dft(g)
-        assert all(abs(ctx.mpc(v) - 1) < 1e-55 for v in hat.samples)
+        assert all(abs(fixed_mpc(ctx, v) - 1) < 1e-55 for v in hat.samples)
 
     def test_bernoulli_grid_by_hand(self):
         # k=2, r=2: samples B_2(0)=1/6, B_2(1/2)=-1/12; at mu=1 the
@@ -44,7 +44,7 @@ class TestDft:
         ctx = DEFAULT_PRECISION.context()
         g = grid_function(2, [Fraction(1, 6), Fraction(-1, 12)])
         hat = dft(g)
-        assert abs(ctx.mpc(hat.samples[1]) - Fraction(1, 4)) < 1e-55
+        assert abs(fixed_mpc(ctx, hat.samples[1]) - Fraction(1, 4)) < 1e-55
 
     def test_linearity(self):
         ctx = DEFAULT_PRECISION.context()
@@ -52,8 +52,8 @@ class TestDft:
         g = grid_function(6, [1, -1, 1, -1, 1, -1])
         combined = grid_function(6, [a + b for a, b in
                                      zip(f.samples, g.samples)])
-        lhs = [ctx.mpc(v) for v in dft(combined).samples]
-        rhs = [ctx.mpc(a) + ctx.mpc(b)
+        lhs = [fixed_mpc(ctx, v) for v in dft(combined).samples]
+        rhs = [fixed_mpc(ctx, a) + fixed_mpc(ctx, b)
                for a, b in zip(dft(f).samples, dft(g).samples)]
         assert all(abs(x - y) < 1e-55 for x, y in zip(lhs, rhs))
 
@@ -207,7 +207,7 @@ class TestMaxAbs:
         transform = dft(grid_function(7, symbols), config).samples
         assert not report.passed
         assert report.max_deviation == max_deviation(
-            [ctx.mpc(t) for t in transform], closed)
+            [fixed_mpc(ctx, t) for t in transform], closed)
         assert abs(report.max_deviation - 0.5) < 1e-40
 
 
@@ -219,8 +219,8 @@ class TestInnerProduct:
                                for j in range(k)])
         e2 = grid_function(k, [ctx.expjpi(4 * ctx.mpf(j) / k)
                                for j in range(k)])
-        assert abs(ctx.mpc(inner_product(e1, e2))) < 1e-55
-        assert abs(ctx.mpc(inner_product(e1, e1)) - k) < 1e-55
+        assert abs(fixed_mpc(ctx, inner_product(e1, e2))) < 1e-55
+        assert abs(fixed_mpc(ctx, inner_product(e1, e1)) - k) < 1e-55
 
     def test_exact_on_the_scale(self):
         # no product is rounded: one unit of the scale times 3 survives
@@ -249,10 +249,12 @@ class TestBernoulliRows:
         # form k*(i/2k)*cot(pi/2) to 0
         grid = grid_function(2, [bernoulli_poly(1, Fraction(j, 2))
                                  for j in range(2)])
-        unshifted = 2 * (1j / 4) * cot_derivative(0, Fraction(1, 2))
+        bits = DEFAULT_PRECISION.working_bits
+        unshifted = 2 * (1j / 4) * Fraction(
+            cot_derivative(0, Fraction(1, 2), bits), 2 ** bits)
         ctx = DEFAULT_PRECISION.context()
-        assert abs(abs(ctx.mpc(dft(grid).samples[1]) - unshifted) - 0.5) \
-            < 1e-45
+        assert abs(abs(fixed_mpc(ctx, dft(grid).samples[1]) - unshifted)
+                   - 0.5) < 1e-45
 
     def test_k5_r3_tight(self):
         report = check_bernoulli_row(5, 3)
@@ -298,7 +300,7 @@ class TestZetaRows:
         ctx = DEFAULT_PRECISION.context()
         report = check_zeta_row(2, 2)
         assert report.passed
-        expected = 4 * ctx.mpc(periodic_zeta(2, Fraction(1, 2)))
+        expected = 4 * fixed_mpc(ctx, periodic_zeta(2, Fraction(1, 2)))
         assert abs(expected + ctx.pi ** 2 / 3) < 1e-55
 
     def test_rows_pass(self):

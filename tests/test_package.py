@@ -32,9 +32,9 @@ def test_import_loads_no_other_layer(module):
 
 # Modules that only some commands need: dataclasses (with inspect) in none,
 # hashlib (with OpenSSL's _hashlib) only under --cache, mpmath only in the
-# commands that build an mpmath context (cp, verify dirichlet-series and
-# verify eta-transform), pcores.fourier only in verify fft, whose table is
-# computed in fixed-point integers.
+# one command that builds an mpmath context, verify eta-transform, and
+# pcores.fourier only in verify fft, whose table is computed in fixed-point
+# integers.
 OPTIONAL_MODULES = ("dataclasses", "inspect", "hashlib", "_hashlib",
                     "mpmath", "pcores.fourier")
 
@@ -49,13 +49,13 @@ LOAD_CASES = [
     (["count", "--p", "5", "--n", "10", "--cache", "CACHE"],
      ["_hashlib", "hashlib"]),
     (["series", "--p", "5", "--max-n", "10"], []),
-    (["cp", "--p", "5"], ["mpmath"]),
+    (["cp", "--p", "5"], []),
     (["trig", "--r", "8", "--p", "97"], []),
     (["verify", "ramanujan-identity", "--p", "13", "--kmax", "15",
       "--nmax", "15"], []),
     (["verify", "dedekind-parity", "--p", "13", "--kmax", "60"], []),
     (["verify", "dirichlet-series", "--p", "7", "--s", "3", "--n", "12",
-      "--kmax", "100"], ["mpmath"]),
+      "--kmax", "100"], []),
     (["verify", "eta-transform", "--p", "7", "--h", "1", "--k", "6",
       "--t", "0.217"], ["mpmath"]),
     (["verify", "trig-identity", "--r", "4", "--p", "43"], []),
@@ -111,9 +111,11 @@ def _contexts_built(argv):
     ["verify", "trig-identity", "--r", "4", "--p", "43"],
     ["verify", "ramanujan-identity", "--p", "13", "--kmax", "15",
      "--nmax", "15"],
-    ["cp", "--p", "7", "--variant", "iv"],
+    ["cp", "--p", "7"],
     ["approx", "--p", "17", "--n", "30001", "--method", "singular",
      "--kmax", "120"],
+    ["verify", "dirichlet-series", "--p", "7", "--s", "3", "--n", "12",
+     "--kmax", "100", "--prec", "100"],
 ])
 def test_exact_command_builds_no_mpmath_context(argv):
     # these commands compute in integers alone, whatever --prec says

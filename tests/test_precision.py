@@ -7,9 +7,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from pcores.precision import (Fixed, PrecisionConfig, decimal_str, log_fixed,
-                              pi_fixed, round_binary, shift_round, sqrt_fixed,
-                              to_mpf)
+from pcores.precision import (PrecisionConfig, Real, decimal_str, log_fixed,
+                              pi_fixed, round_binary, shift_round, sqrt_fixed)
 
 
 class TestPrecisionConfig:
@@ -81,18 +80,6 @@ def test_shift_round():
     assert shift_round((3 << 100) - 1, 100) == 3
 
 
-def test_fixed_reads_exactly_in_mpmath():
-    # mpc() takes a Fixed's raw tuples exactly, whatever the context's
-    # precision; Fixed is a plain tuple to everything else
-    value = Fixed(((1 << 300) + 1, -3, 301))
-    ctx = mpmath.mp.clone()
-    ctx.prec = 400
-    got = ctx.mpc(value)
-    assert got.real == ctx.mpf(0.5) + ctx.ldexp(1, -301)
-    assert got.imag == -ctx.ldexp(3, -301)
-    assert value == ((1 << 300) + 1, -3, 301)
-
-
 def _exact(x) -> Fraction:
     # the mpf x as the Fraction it is
     man, exp = x.man_exp
@@ -131,14 +118,16 @@ def _values(rng: random.Random, config: PrecisionConfig, count: int):
 
 @pytest.mark.parametrize("digits", [20, 60, 100])
 def test_decimal_str_is_nstr(digits):
-    # round_binary is to_mpf, and decimal_str is nstr of it, value for value
+    # round_binary is mpmath's correctly rounded division, a Real, and
+    # decimal_str is nstr of it, value for value
     config = PrecisionConfig(digits)
     ctx = config.context()
     rng = random.Random(digits)
     checked = 0
     for value in _values(rng, config, 10 ** 4):
-        x = to_mpf(ctx, value)
-        assert round_binary(value, config.working_bits) == _exact(x), value
+        x = ctx.fdiv(value.numerator, value.denominator)
+        rounded = round_binary(value, config.working_bits)
+        assert type(rounded) is Real and rounded == _exact(x), value
         assert decimal_str(value, config) == ctx.nstr(x, digits), value
         checked += 1
     assert checked == 10 ** 4

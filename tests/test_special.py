@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pcores.special
-from oracles import exact, hurwitz_zeta_formula
+from oracles import cot_derivative_horner, fixed_mpc, hurwitz_zeta_formula
 from pcores.precision import (DEFAULT_PRECISION, GUARD_BITS, PrecisionConfig,
                               PrecisionError)
 from pcores.special import (_horner, _log_series, cot_derivative,
@@ -17,6 +17,17 @@ from pcores.special import (_horner, _log_series, cot_derivative,
                             periodic_zeta)
 
 HIGH = PrecisionConfig(80)
+
+
+def _cot(r, q, config=DEFAULT_PRECISION):
+    # cot_derivative on the working precision's scale, in config's context
+    bits = config.working_bits
+    return config.context().ldexp(cot_derivative(r, q, bits), -bits)
+
+
+def _zeta(s, a, config=DEFAULT_PRECISION):
+    # hurwitz_zeta's Fixed, read exactly into config's context
+    return fixed_mpc(config.context(), hurwitz_zeta(s, a, config)).real
 
 # (s, a) for the Hurwitz zeta checks: s in 2, 3, 5, 8, 13, 30 at every a
 # in (0, 1] with denominator <= 6, and the s = 29, a = j/59 that the
@@ -68,14 +79,14 @@ class TestCotPolynomial:
             assert all(c >= 0 for c in poly)
 
     def test_evaluate_matches_horner_expansion(self):
-        # cot_derivative evaluates f_r by Horner's rule; compare with the
-        # polynomial summed term by term at the same cotangent value
+        # cot_derivative evaluates f_r by Horner's rule in fixed point;
+        # compare with the polynomial summed term by term at mpmath's cot
         ctx = DEFAULT_PRECISION.context()
         for r in (1, 2, 3, 6):
             for q in (Fraction(1, 7), Fraction(3, 7), Fraction(5, 7)):
                 t = ctx.cot(ctx.pi * ctx.mpf(q.numerator) / q.denominator)
                 direct = sum(c * t ** i for i, c in enumerate(cot_polynomial(r)))
-                value = cot_derivative(r, q)
+                value = _cot(r, q)
                 assert abs(value - (-1) ** r * direct) < 1e-55 * abs(direct)
 
     def test_rejects_r_zero(self):
@@ -85,12 +96,12 @@ class TestCotPolynomial:
 
 class TestCotDerivative:
     def test_plain_cotangent(self):
-        value = cot_derivative(0, Fraction(1, 4))
+        value = _cot(0, Fraction(1, 4))
         assert abs(value - 1) < 1e-58
 
     def test_first_derivative_at_quarter(self):
         # cot'(x) = -1/sin^2(x); at pi/4 that is -2
-        value = cot_derivative(1, Fraction(1, 4))
+        value = _cot(1, Fraction(1, 4))
         assert abs(value + 2) < 1e-58
 
     def test_against_numeric_differentiation(self):
@@ -102,30 +113,50 @@ class TestCotDerivative:
             x = ctx.pi * q.numerator / q.denominator
             for r in range(1, 11):
                 reference = ctx.diff(ctx.cot, x, r)
-                value = cot_derivative(r, q, HIGH)
+                value = _cot(r, q, HIGH)
                 assert abs(value - reference) / max(1, abs(reference)) < 1e-40
 
     def test_monotone_decreasing_on_first_half(self):
         # cot and every derivative alternate sign; cot itself decreases
-        values = [cot_derivative(0, Fraction(j, 20)) for j in range(1, 10)]
+        values = [_cot(0, Fraction(j, 20)) for j in range(1, 10)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("digits", [20, 60, 100])
+    def test_within_bound_of_mpf_horner(self, digits):
+        # against f_r by Horner's rule in mpf at mpmath's cot, 200 bits
+        # finer: within (r + 2) * max(1, |t|)^(r + 1) units plus |f_r'(t)|
+        # times t's error, which is under one unit
+        bits = PrecisionConfig(digits).working_bits
+        ref = mpmath.mp.clone()
+        ref.prec = bits + 200
+        for q in {Fraction(m, den) for den in (2, 3, 7, 12, 59)
+                  for m in range(1, den)}:
+            t = abs(ref.cot(ref.pi * q.numerator / q.denominator))
+            for r in range(9):
+                f = cot_polynomial(r) if r else (0, 1)
+                expected = ref.ldexp(cot_derivative_horner(ref, f, r, q), bits)
+                slope = sum(i * c * t ** (i - 1) for i, c in enumerate(f) if i)
+                bound = (r + 2) * max(1, t) ** (r + 1) + slope
+                assert abs(cot_derivative(r, q, bits) - expected) <= bound, \
+                    (r, q)
+
     def test_rejects_endpoints(self):
+        bits = DEFAULT_PRECISION.working_bits
         with pytest.raises(ValueError):
-            cot_derivative(1, Fraction(0))
+            cot_derivative(1, Fraction(0), bits)
         with pytest.raises(ValueError):
-            cot_derivative(1, Fraction(1))
+            cot_derivative(1, Fraction(1), bits)
 
 
 class TestHurwitzZeta:
     def test_basel(self):
-        value = hurwitz_zeta(2, 1)
+        value = _zeta(2, 1)
         ctx = DEFAULT_PRECISION.context()
         assert abs(value - ctx.pi ** 2 / 6) < 1e-58
 
     def test_half_argument(self):
         # zeta(2, 1/2) = pi^2/2
-        value = hurwitz_zeta(2, Fraction(1, 2))
+        value = _zeta(2, Fraction(1, 2))
         ctx = DEFAULT_PRECISION.context()
         assert abs(value - ctx.pi ** 2 / 2) < 1e-58
 
@@ -134,7 +165,7 @@ class TestHurwitzZeta:
         ctx.dps = 90
         for s in (2, 3, 5, 8):
             for a in (Fraction(1, 7), Fraction(3, 7), Fraction(1, 2), 1):
-                ours = hurwitz_zeta(s, a, HIGH)
+                ours = _zeta(s, a, HIGH)
                 a_ref = ctx.mpf(Fraction(a).numerator) / Fraction(a).denominator
                 reference = ctx.zeta(s, a_ref)
                 assert abs(ours - reference) < 1e-58
@@ -143,7 +174,7 @@ class TestHurwitzZeta:
         # the tail of sum (n+a)^-s is bracketed by integrals, so the true
         # value lies between partial + lower and partial + upper
         s, a = 3, Fraction(2, 5)
-        value = hurwitz_zeta(s, a)
+        value = _zeta(s, a)
         n_terms = 200
         partial = sum(Fraction(1) / (n + a) ** s for n in range(n_terms))
         upper = partial + Fraction(1) / ((s - 1) * (n_terms - 1 + a) ** (s - 1))
@@ -151,7 +182,7 @@ class TestHurwitzZeta:
         assert float(lower) <= value <= float(upper)
 
     def test_decreasing_in_a(self):
-        values = [hurwitz_zeta(2, Fraction(j, 10)) for j in range(1, 11)]
+        values = [_zeta(2, Fraction(j, 10)) for j in range(1, 11)]
         assert all(x > y for x, y in zip(values, values[1:]))
 
     def test_multiplication_theorem(self):
@@ -160,24 +191,25 @@ class TestHurwitzZeta:
         ctx = DEFAULT_PRECISION.context()
         for k in range(2, 6):
             for s in (2, 4):
-                total = ctx.fsum(
-                    hurwitz_zeta(s, Fraction(2 * j + 1, 2 * k))
-                    for j in range(k))
-                expected = ctx.mpf(k) ** s * hurwitz_zeta(s, Fraction(1, 2))
+                total = ctx.fsum(_zeta(s, Fraction(2 * j + 1, 2 * k))
+                                 for j in range(k))
+                expected = ctx.mpf(k) ** s * _zeta(s, Fraction(1, 2))
                 assert abs(total - expected) < 1e-55
 
     @pytest.mark.parametrize("digits", [20, 60, 100])
     def test_within_bound_of_exact_formula(self, digits):
         # the fixed-point sum is within 2^-(prec+4) of the exact truncated
-        # formula, and is then rounded once: half a unit in the last place
+        # formula, and is then rounded once to the working precision's
+        # scale: half a unit of 2^-prec
         config = PrecisionConfig(digits)
-        prec = config.context().prec
+        prec = config.working_bits
         for s, a in _ZETA_CASES:
-            value = hurwitz_zeta(s, a, config)
-            _, _, exp, bc = value._mpf_
-            half_ulp = Fraction(2) ** (exp + bc - prec - 1)
-            error = abs(exact(value) - hurwitz_zeta_formula(s, a, digits))
-            assert error <= Fraction(1, 2 ** (prec + 4)) + half_ulp
+            re, im, bits = hurwitz_zeta(s, a, config)
+            assert (im, bits) == (0, prec)
+            error = abs(Fraction(re, 2 ** prec)
+                        - hurwitz_zeta_formula(s, a, digits))
+            assert error <= Fraction(1, 2 ** (prec + 4)) \
+                + Fraction(1, 2 ** (prec + 1))
 
     @pytest.mark.parametrize("digits", [20, 60, 100])
     def test_against_mpmath_at_more_digits(self, digits):
@@ -186,7 +218,7 @@ class TestHurwitzZeta:
         ref.dps = digits + 40
         for s, a in _ZETA_CASES:
             reference = ref.zeta(s, ref.mpf(a.numerator) / a.denominator)
-            value = ref.mpf(hurwitz_zeta(s, a, config))
+            value = fixed_mpc(ref, hurwitz_zeta(s, a, config)).real
             assert abs(value - reference) <= ref.mpf(10) ** -(digits + 4) \
                 * reference
 
@@ -244,20 +276,20 @@ def _coefficients(series):
 class TestPeriodicZeta:
     def test_at_integer_phase(self):
         ctx = DEFAULT_PRECISION.context()
-        value = ctx.mpc(periodic_zeta(2, 0))
+        value = fixed_mpc(ctx, periodic_zeta(2, 0))
         assert abs(value - ctx.pi ** 2 / 6) < 1e-58
 
     def test_at_half_phase(self):
         # l(2, 1/2) = sum (-1)^n / n^2 = -pi^2/12
         ctx = DEFAULT_PRECISION.context()
-        value = ctx.mpc(periodic_zeta(2, Fraction(1, 2)))
+        value = fixed_mpc(ctx, periodic_zeta(2, Fraction(1, 2)))
         assert abs(value + ctx.pi ** 2 / 12) < 1e-58
 
     def test_conjugation_symmetry(self):
         for x in (Fraction(1, 7), Fraction(2, 5), Fraction(5, 11)):
             ctx = DEFAULT_PRECISION.context()
-            a = ctx.mpc(periodic_zeta(3, x))
-            b = ctx.mpc(periodic_zeta(3, 1 - x))
+            a = fixed_mpc(ctx, periodic_zeta(3, x))
+            b = fixed_mpc(ctx, periodic_zeta(3, 1 - x))
             assert abs(a - ctx.conj(b)) < 1e-55
 
     def test_against_partial_sums(self):
@@ -271,7 +303,7 @@ class TestPeriodicZeta:
                 partial = ctx.fsum(z ** n / ctx.mpf(n) ** s
                                    for n in range(1, M + 1))
                 bound = 2 / (abs(1 - z) * ctx.mpf(M) ** s)
-                value = ctx.mpc(periodic_zeta(s, x))
+                value = fixed_mpc(ctx, periodic_zeta(s, x))
                 assert abs(value - partial) <= bound + ctx.mpf(10) ** -55
 
     def test_hurwitz_combination(self):
@@ -283,10 +315,10 @@ class TestPeriodicZeta:
                 for s in (2, 4):
                     total = ctx.fsum(
                         ctx.expjpi(2 * ctx.mpf(j * h) / k)
-                        * hurwitz_zeta(s, Fraction(j, k) if j else 1)
+                        * _zeta(s, Fraction(j, k) if j else 1)
                         for j in range(k))
-                    expected = (ctx.mpf(k) ** s
-                                * ctx.mpc(periodic_zeta(s, Fraction(h, k))))
+                    expected = (ctx.mpf(k) ** s * fixed_mpc(
+                        ctx, periodic_zeta(s, Fraction(h, k))))
                     assert abs(total - expected) < 1e-55
 
     @pytest.mark.parametrize("digits", [20, 40, 60, 100])
@@ -300,7 +332,8 @@ class TestPeriodicZeta:
                       for h in range(1, q // 2 + 1)}:
                 reference = _polylog_reference(s, x)
                 value = periodic_zeta(s, x, config)
-                assert abs(_POLYLOG.mpc(value) - reference) <= tol * abs(reference)
+                assert abs(fixed_mpc(_POLYLOG, value) - reference) \
+                    <= tol * abs(reference)
 
     @pytest.mark.parametrize("digits", [20, 60, 100])
     def test_series_cut_where_documented(self, digits):
@@ -387,7 +420,8 @@ class TestPeriodicZeta:
         periodic_zeta(5, x, PrecisionConfig(40))
         value = periodic_zeta(5, x, PrecisionConfig(100))
         reference = _polylog_reference(5, x)
-        assert abs(_POLYLOG.mpc(value) - reference) < 1e-109 * abs(reference)
+        assert abs(fixed_mpc(_POLYLOG, value) - reference) \
+            < 1e-109 * abs(reference)
 
     def test_rejects_small_exponent(self):
         with pytest.raises(ValueError):
