@@ -233,10 +233,10 @@ def leading_constant(p: int, variant: str,
     Fractions; numeric ones return a Real, exact rational arithmetic on
     integers with F = prec + GUARD_BITS fraction bits for the working
     precision prec, rounded once: sqrt(p) and pi within two units, each
-    cotangent derivative within (r+2) * (p/pi)^(r+1) units, and the Hurwitz
-    sum (see _twisted_hurwitz_sum) far finer than 2^-prec, so each value
-    is within a relative 2^-prec of its formula.  Signs are the formulas'
-    own and are reconciled by leading_constant_report.
+    cotangent derivative within (r+2) * (p/pi)^(r+1) units, and each zeta
+    value of the Hurwitz sum within one unit, so each value is within a
+    relative 2^-prec of its formula.  Signs are the formulas' own and are
+    reconciled by leading_constant_report.
     """
     _require_p(p)
     if variant not in VARIANTS:
@@ -248,7 +248,7 @@ def leading_constant(p: int, variant: str,
     if variant == "i":
         # (2*pi)^half * 2^F, from pi^half * 2^(half*F)
         power = pi_fixed(F) ** half >> (half - 1) * F << half
-        total = _twisted_hurwitz_sum(p, half, config)
+        total = _twisted_hurwitz_sum(p, half, F)
         return round_binary(
             total * sqrt_fixed(p, F) * math.factorial(r) / power, prec)
     if variant == "ii":
@@ -275,14 +275,11 @@ def leading_constant(p: int, variant: str,
     return _quadratic_bernoulli_side(r, p)
 
 
-def _twisted_hurwitz_sum(p: int, s: int, config: PrecisionConfig) -> Fraction:
-    # sum_j (j|p) * zeta(s, j/p) over j = 1..p-1, exactly for the zeta
-    # values taken GUARD_DIGITS finer, whose Euler-Maclaurin cut then lies
-    # far below the working precision's last bit
-    finer = PrecisionConfig(config.working_dps)
-    return Fraction(sum(legendre_symbol(j, p)
-                        * hurwitz_zeta(s, Fraction(j, p), finer)[0]
-                        for j in range(1, p)), 1 << finer.working_bits)
+def _twisted_hurwitz_sum(p: int, s: int, bits: int) -> Fraction:
+    # sum_j (j|p) * zeta(s, j/p) over j = 1..p-1, each zeta within 2^-bits
+    terms = (legendre_symbol(j, p) * hurwitz_zeta(s, Fraction(j, p), bits)
+             for j in range(1, p))
+    return Fraction(sum(terms), 1 << bits)
 
 
 def _certified_constant(p: int, exact: Fraction) -> int:
@@ -550,8 +547,8 @@ def verify_dirichlet_series(p: int, s: int, n: int, kmax: int,
     cut once to an integer multiple of 2^-W, W = prec + bit_length(kmax)
     + 4 for the working precision prec, so the exact integer sum is within
     2^-(prec+4) of the partial sum; it is rounded once to prec bits.  The
-    closed form, the exact divisor sum over _twisted_hurwitz_sum, is
-    rounded once as well."""
+    closed form, the exact divisor sum over _twisted_hurwitz_sum at
+    prec + GUARD_BITS bits, as variant i takes it, is rounded once too."""
     _require_p(p)
     if s < 2:
         raise ValueError("s must be >= 2 for absolute convergence headroom")
@@ -564,8 +561,8 @@ def verify_dirichlet_series(p: int, s: int, n: int, kmax: int,
     total = _twisted_ramanujan_sum(p, n, 1 + s, kmax, W)
     partial = round_binary(Fraction(total, 1 << W), prec)
     dsum = sum(Fraction(legendre_symbol(d, p), d ** s) for d in divisors(n))
-    closed = round_binary(
-        p ** (1 + s) * dsum / _twisted_hurwitz_sum(p, 1 + s, config), prec)
+    zeta_sum = _twisted_hurwitz_sum(p, 1 + s, prec + GUARD_BITS)
+    closed = round_binary(p ** (1 + s) * dsum / zeta_sum, prec)
     sigma = sum(divisors(n))
     tail = sigma * float(kmax) ** (-s) / s
     deviation = float(abs(partial - closed))

@@ -33,7 +33,7 @@ from .asympt import (approx_divisor_sum, approx_singular_series,
                      verify_quadratic_trig_identity, verify_ramanujan_identity,
                      VARIANTS, CLASS_NUMBER_METHODS)
 from .precision import (DEFAULT_PRECISION, PrecisionConfig, PrecisionError,
-                        Real, VerificationError, decimal_str)
+                        Real, VerificationError, decimal_str, int_str)
 from .series import pcore_count, pcore_series
 
 DEFAULT_DIGITS = DEFAULT_PRECISION.decimal_digits
@@ -51,12 +51,14 @@ def _resolve_precision(args) -> PrecisionConfig:
 
 
 def _number_str(value, config: PrecisionConfig) -> str:
-    """decimal_str for a Real, the exact value of an int or any other
-    Fraction, and nstr for the eta check's mpmath values."""
+    """The CLI's one number renderer: decimal_str for a Real, the exact
+    value of an int or any other Fraction, as str() writes it but at any
+    length, and nstr for the eta check's mpmath values."""
     if isinstance(value, Real):
         return decimal_str(value, config)
     if isinstance(value, (int, Fraction)):
-        return str(value)
+        num, den = value.as_integer_ratio()
+        return int_str(num) + (f"/{int_str(den)}" if den != 1 else "")
     ctx = config.context()
     return ctx.nstr(ctx.convert(value), config.decimal_digits)
 
@@ -87,7 +89,8 @@ def _count(args, config):
     _require_prime(args.p)
     if args.n < 0:
         raise ValueError("n must be >= 0")
-    return {"count": str(pcore_count(args.p, args.n))}, {}, True
+    count = pcore_count(args.p, args.n)
+    return {"count": _number_str(count, config)}, {}, True
 
 
 def _series(args, config):
@@ -95,7 +98,8 @@ def _series(args, config):
     if args.max_n < 0:
         raise ValueError("max-n must be >= 0")
     counts = pcore_series(args.p, args.max_n)
-    return {"counts": [[n, str(c)] for n, c in enumerate(counts)]}, {}, True
+    return {"counts": [[n, _number_str(c, config)]
+                       for n, c in enumerate(counts)]}, {}, True
 
 
 def _approx_parameters(parameters):
@@ -112,13 +116,13 @@ def _approx(args, config):
         report = approx_singular_series(args.p, args.n, args.kmax, config)
     else:
         report = approx_divisor_sum(args.p, args.n, config)
-    values = {"estimate": decimal_str(report.estimate, config)}
+    values = {"estimate": _number_str(report.estimate, config)}
     if report.divisor_sum is not None:
-        values["divisor_sum"] = str(report.divisor_sum)
-        values["constant"] = str(report.constant)
+        values["divisor_sum"] = _number_str(report.divisor_sum, config)
+        values["constant"] = _number_str(report.constant, config)
     residuals = {}
     if report.exact is not None:
-        values["exact"] = str(report.exact)
+        values["exact"] = _number_str(report.exact, config)
         if report.relative_error is not None:
             residuals["relative_error"] = report.relative_error
     return values, residuals, True
@@ -127,7 +131,7 @@ def _approx(args, config):
 def _cp(args, config):
     if args.variant == "all":
         report = leading_constant_report(args.p, config)
-        values = {"consensus": str(report.consensus),
+        values = {"consensus": _number_str(report.consensus, config),
                   "values": {name: _number_str(v, config)
                              for name, v in report.values.items()},
                   "signs": report.signs}
@@ -141,13 +145,15 @@ def _trig(args, config):
     exact = bernoulli_char_sum(args.r, args.p)
     cotangent = cotangent_char_sum(args.r, args.p)
     passed = exact.denominator == 1 and cotangent == exact
-    values = {"bernoulli_sum": str(exact), "cotangent_sum": str(cotangent)}
+    values = {"bernoulli_sum": _number_str(exact, config),
+              "cotangent_sum": _number_str(cotangent, config)}
     return values, {}, passed
 
 
 def _classnum(args, config):
     value = class_number(args.p, args.method)
-    return {"class_number": str(value), "method": args.method}, {}, True
+    return {"class_number": _number_str(value, config),
+            "method": args.method}, {}, True
 
 
 def _ramanujan_identity(args, config):

@@ -188,13 +188,13 @@ def check_zeta_row(k: int, s: int,
     """
     if k < 2:
         raise ValueError("need k >= 2")
-    scale = k ** s
+    bits, scale = config.working_bits, k ** s
     return _row(
         "zeta", k, {"s": s},
-        (hurwitz_zeta(s, Fraction(j, k) if j else 1, config)
+        (Fixed((hurwitz_zeta(s, Fraction(j, k) if j else 1, bits), 0, bits))
          for j in range(k)),
-        (Fixed((scale * re, scale * im, bits)) for re, im, bits in
-         (periodic_zeta(s, Fraction(k - mu, k), config) for mu in range(k))),
+        (Fixed((scale * re, scale * im, bits)) for re, im, _ in
+         (periodic_zeta(s, Fraction(k - mu, k), bits) for mu in range(k))),
         config)
 
 

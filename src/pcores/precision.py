@@ -1,6 +1,8 @@
 """Working-precision configuration, fixed-point elementary functions, the
-one real-number renderer, and the errors of checked computations.
+one number renderer, and the errors of checked computations.
 
+A :class:`PrecisionConfig` speaks in decimal digits only at the boundary,
+what a command is asked for and prints; inside, computations take bits.
 A real number in this package is a :class:`Real`, a Fraction rounded once
 to the working precision by :func:`round_binary` and printed by
 :func:`decimal_str`, which gives the digits mpmath's ``nstr`` would; an
@@ -9,7 +11,8 @@ unity, logarithms and square roots summed here; or, in the
 modular-transformation check alone, a value produced inside an mpmath
 context cloned for a specific :class:`PrecisionConfig`, so callers with
 different precision needs never share mutable global state.  Integers are
-never rounded from such values: each one is computed exactly.  mpmath is
+never rounded from such values: each one is computed exactly, and
+:func:`int_str` prints it whatever its length.  mpmath is
 imported where the first context is built, so a command that builds none
 never loads it.
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -190,6 +194,12 @@ def log_fixed(x: int, bits: int) -> int:
     return shift_round(total, GUARD_BITS)
 
 
+def int_str(n: int) -> str:
+    """str(n) at any length: Python refuses str() of an int beyond 4300
+    digits, so the digits come from decimal."""
+    return str(Decimal(n))
+
+
 def decimal_str(value: Fraction, config: PrecisionConfig) -> str:
     """``nstr(ctx.fdiv(value.numerator, value.denominator), decimal_digits)``
     for the context of ``config``, without mpmath, step for step as
@@ -213,12 +223,13 @@ def decimal_str(value: Fraction, config: PrecisionConfig) -> str:
         shift = exp + fixprec
         man, exp = man << max(shift, 0) >> max(-shift, 0), -fixprec
     fixdps = int(fixprec / _LOG2_10 + 0.5)
-    digits = str((man * 10 ** max(fixdps, 0) << max(exp, 0))
-                 // (10 ** max(-fixdps, 0) << max(-exp, 0)))
+    floor = ((man * 10 ** max(fixdps, 0) << max(exp, 0))
+             // (10 ** max(-fixdps, 0) << max(-exp, 0)))
+    digits = int_str(floor)
     exponent = len(digits) - fixdps - 1
     head = digits[:dps]
     if len(digits) > dps and digits[dps] in "56789":
-        head = str(int(head) + 1)
+        head = int_str(floor // 10 ** (len(digits) - dps) + 1)
         if len(head) > dps:  # 99...9 carried into a new leading digit
             head, exponent = head[:dps], exponent + 1
     split = 1

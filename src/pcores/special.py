@@ -5,11 +5,12 @@ its exact rational values at nonpositive integer arguments, the periodic
 zeta function on the unit circle from its log series, and arbitrary-order
 derivatives of the cotangent through an integer-coefficient polynomial
 recurrence.  Every value is summed in integers on a binary scale, with
-pi, roots of unity and log from pcores.precision: hurwitz_zeta and
-periodic_zeta return a precision.Fixed on the working precision's scale,
-and cot_derivative an integer on the scale its caller names, so no value
-here builds an mpf and the transform table, the leading constant and the
-Dirichlet check never load mpmath.
+pi, roots of unity and log from pcores.precision.  Each evaluator takes
+the bits its caller needs, as value * 2^bits: hurwitz_zeta an integer and
+periodic_zeta a precision.Fixed, each within one unit, and cot_derivative
+an integer within the bound its docstring states.  So no caller pads the
+precision, no value here builds an mpf, and the module knows no decimal
+digits.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ import math
 from fractions import Fraction
 
 from .arith import bernoulli_number, bernoulli_poly
-from .precision import (DEFAULT_PRECISION, GUARD_BITS, GUARD_DIGITS, Fixed,
-                        PrecisionConfig, PrecisionError, decimal_str,
-                        log_fixed, pi_fixed, roots_fixed, shift_round)
+from .precision import (GUARD_BITS, Fixed, PrecisionError, log_fixed,
+                        pi_fixed, roots_fixed, shift_round)
 
 
 @functools.lru_cache(maxsize=None)
@@ -77,49 +77,35 @@ def _euler_maclaurin_coefficient(j: int) -> Fraction:
     return bernoulli_number(2 * j) / math.factorial(2 * j)
 
 
-def hurwitz_zeta(s: int, a,
-                 config: PrecisionConfig = DEFAULT_PRECISION) -> Fixed:
-    """zeta(s, a) = sum_{n>=0} (n+a)^(-s) for integer s >= 2, rational a in
-    (0, 1]: _hurwitz_zeta's sum, cached per (s, a, config), rounded once to
-    a Fixed on the working precision's scale.
-
-    Its cache_info and cache_clear are _hurwitz_zeta's, so a call by this
-    name shows as a cache hit or miss however s, a and config are written.
-    """
-    if s != int(s) or s < 2:
-        raise ValueError("hurwitz_zeta requires integer s >= 2")
-    a = Fraction(a)
-    if not 0 < a <= 1:
-        raise ValueError("hurwitz_zeta requires 0 < a <= 1")
-    total, scale = _hurwitz_zeta(int(s), a, config)
-    bits = config.working_bits
-    return Fixed((shift_round(total, scale - bits), 0, bits))
-
-
 @functools.lru_cache(maxsize=None)
-def _hurwitz_zeta(s: int, a: Fraction, config: PrecisionConfig):
-    """zeta(s, a) ~ total/2^W as (total, W), integer s >= 2, a in (0, 1].
+def hurwitz_zeta(s: int, a, bits: int) -> int:
+    """zeta(s, a) * 2^bits within one unit, for integer s >= 2 and rational
+    a in (0, 1], computed once per (s, a, bits); callers pass bits
+    positionally, so a = 1 and Fraction(1) share one cache entry.
 
-    Direct summation of M = max(2*s, decimal_digits) terms, then the
+    Direct summation of M = max(2*s, bits // 4) terms, then the
     Euler-Maclaurin tail
         x^(1-s)/(s-1) + x^(-s)/2
           + sum_j B_{2j}/(2j)! * s(s+1)...(s+2j-2) * x^(-s-2j+1)
     at x = M + a, with corrections added until the next one drops below
-    10^-(decimal_digits+5).  With this M the series terms decrease well past
-    the cut, so the stopping rule is an honest error bound.
+    2^-(bits+2).  With this M the series terms decrease well past the cut,
+    so the stopping rule is an honest error bound.
 
     Each term is an exact rational in p, q and M, where a = p/q: the head's
     (n + a)^(-s) is q^s/(nq + p)^s and x = (Mq + p)/q.  Each is cut once to
-    an integer multiple of 2^-W, W = prec + bit_length(8M) + 4 for the
-    working precision prec; the stopping rule and the stall check compare
-    those integers, which are summed exactly.  The stall check ends the
-    tail before j passes 5M, so at most 8M cuts, each under 2^-W, leave the
-    sum within 2^-(prec+4) of the truncated formula: under a sixteenth of
-    the last bit of zeta(s, a) >= 1, before the caller's one rounding.
+    an integer multiple of 2^-W, W = bits + bit_length(8M) + 4, and summed
+    exactly; the stopping rule and the stall check compare those integers.
+    The stall check ends the tail before j passes 5M, so at most 8M cuts
+    leave the sum within 2^-(bits+4) of the truncated formula, itself
+    within 2^-(bits+2) of zeta(s, a), before the one rounding.
     """
-    prec, digits = config.working_bits, config.decimal_digits
-    M = max(2 * s, digits)
-    W = prec + (8 * M).bit_length() + 4
+    if s != int(s) or s < 2:
+        raise ValueError("hurwitz_zeta requires integer s >= 2")
+    s, a = int(s), Fraction(a)
+    if not 0 < a <= 1:
+        raise ValueError("hurwitz_zeta requires 0 < a <= 1")
+    M = max(2 * s, bits // 4)
+    W = bits + (8 * M).bit_length() + 4
     p, q = a.numerator, a.denominator
     X = M * q + p  # x = X/q
     scaled = q ** s << W
@@ -127,7 +113,7 @@ def _hurwitz_zeta(s: int, a: Fraction, config: PrecisionConfig):
     # x^(1-s)/(s-1) + x^(-s)/2
     total += (q ** (s - 1) << W) // ((s - 1) * X ** (s - 1))
     total += scaled // (2 * X ** s)
-    cut = (1 << W) // 10 ** (digits + 5)
+    cut = 1 << W - bits - 2
     rising = s  # s(s+1)...(s+2j-2), starting at j = 1
     num, den = q ** (s + 1), X ** (s + 1)  # x^(-s-2j+1) = num/den
     previous = math.inf
@@ -144,16 +130,12 @@ def _hurwitz_zeta(s: int, a: Fraction, config: PrecisionConfig):
             # asymptotic tail started diverging before reaching the target
             raise PrecisionError(
                 f"Euler-Maclaurin tail for zeta({s}, {a}) stalled at term "
-                f"size {decimal_str(Fraction(size, 1 << W), config)}")
+                f"size 2^{size.bit_length() - W}")
         previous = size
         rising *= (s + 2 * j - 1) * (s + 2 * j)
         num, den = num * q * q, den * X * X
         j += 1
-    return total, W
-
-
-hurwitz_zeta.cache_info = _hurwitz_zeta.cache_info
-hurwitz_zeta.cache_clear = _hurwitz_zeta.cache_clear
+    return shift_round(total, W - bits)
 
 
 def hurwitz_zeta_neg(m: int, a) -> Fraction:
@@ -164,9 +146,9 @@ def hurwitz_zeta_neg(m: int, a) -> Fraction:
 
 
 @functools.lru_cache(maxsize=None)
-def _log_series(s: int, config: PrecisionConfig) -> tuple:
+def _log_series(s: int, bits: int) -> tuple:
     """The log series of l(s, x), integer s >= 2, with pi folded in, as
-    integers times 2^-(working bits + GUARD_BITS): (E, O, K, H) with
+    integers times 2^-(bits + GUARD_BITS): (E, O, K, H) with
 
         l(s, x) = E(v^2) + i*v*O(v^2)
                   + i^(s-1) * K * v^(s-1) * (H - log(pi*v) + i*pi/2)
@@ -177,23 +159,22 @@ def _log_series(s: int, config: PrecisionConfig) -> tuple:
     section 7).  d_m = (-1)^(m//2) * zeta(s-m) * pi^m/m! joins E (even m)
     or O (odd m), d_(s-1) = 0, up to the first nonzero |d_m| < eps/8 with
     m >= s, past which the nonzero terms fall fourfold (dropped: < eps/6).
-    zeta(s-m) is _hurwitz_zeta's sum GUARD_DIGITS finer for m <= s-2, and
-    (-1)^n * B_(n+1)/(n+1) for m = s + n; once n + 1 = 2j passes a quarter
-    of the bits, d_m = (-1)^j * 2 * pi^(s-1) * sum_i (2i)^(-2j) / (2j
-    (2j+1) ... m) instead, in at most eight floored terms.  pi^m is carried
-    GUARD_BITS finer; each d_m, K and H is within half a unit plus 2^-8.
+    zeta(s-m) is hurwitz_zeta for m <= s-2, and (-1)^n * B_(n+1)/(n+1) for
+    m = s + n; once n + 1 = 2j passes a quarter of the bits, d_m = (-1)^j *
+    2 * pi^(s-1) * sum_i (2i)^(-2j) / (2j (2j+1) ... m) instead, in at most
+    eight floored terms.  pi^m and zeta(s-m) are carried GUARD_BITS finer;
+    each d_m, K and H is within half a unit plus 2^-8.
     """
-    scale = config.working_bits + GUARD_BITS
+    scale = bits + GUARD_BITS
     wide = scale + GUARD_BITS
-    zeta_config = PrecisionConfig(config.working_dps + GUARD_DIGITS)
     pi, cut = pi_fixed(wide), 1 << GUARD_BITS - 2
     parts = ([], [])
     m, pi_m, factorial = 0, 1 << wide, 1
     while True:
         if m <= s or (m - s) % 2:
             if m <= s - 2:
-                total, W = _hurwitz_zeta(s - m, Fraction(1), zeta_config)
-                d = shift_round(total * pi_m // factorial, W + wide - scale)
+                d = shift_round(hurwitz_zeta(s - m, 1, wide) * pi_m
+                                // factorial, 2 * wide - scale)
             elif m == s - 1:
                 d, K = 0, shift_round(pi_m // factorial, wide - scale)
                 pi_s1 = pi_m
@@ -228,9 +209,9 @@ def _horner(coeffs, num: int, den: int) -> int:
     return acc
 
 
-def periodic_zeta(s: int, x, config: PrecisionConfig = DEFAULT_PRECISION):
+def periodic_zeta(s: int, x, bits: int) -> Fixed:
     """l(s, x) = sum_{n>=1} e^(2*pi*i*n*x) / n^s for integer s >= 2, rational
-    x, as a Fixed on the working precision's scale.
+    x, as a Fixed on the scale 2^-bits, each part within one unit.
 
     x is reduced mod 1 and folded onto [0, 1/2] by the termwise
     conjugation l(s, 1-x) = conj(l(s, x)); _folded_periodic_zeta computes
@@ -240,23 +221,22 @@ def periodic_zeta(s: int, x, config: PrecisionConfig = DEFAULT_PRECISION):
         raise ValueError("periodic_zeta requires integer s >= 2")
     s, x = int(s), Fraction(x) % 1
     if x > Fraction(1, 2):
-        re, im, bits = _folded_periodic_zeta(s, 1 - x, config)
+        re, im, _ = _folded_periodic_zeta(s, 1 - x, bits)
         return Fixed((re, -im, bits))
-    return _folded_periodic_zeta(s, x, config)
+    return _folded_periodic_zeta(s, x, bits)
 
 
 @functools.lru_cache(maxsize=None)
-def _folded_periodic_zeta(s: int, x: Fraction, config: PrecisionConfig):
-    """l(s, x) for x in [0, 1/2], computed once per (s, x, config).
+def _folded_periodic_zeta(s: int, x: Fraction, bits: int) -> Fixed:
+    """l(s, x) for x in [0, 1/2], computed once per (s, x, bits).
 
     l(s, 0) = zeta(s, 1); every other x sums _log_series at v = 2x = a/b,
     E and O by _horner at v^2, GUARD_BITS finer: within a few hundred units
     there, so within half a unit plus 2^-16 once rounded.
     """
     if x == 0:
-        return hurwitz_zeta(s, 1, config)
-    even, odd, K, harmonic = _log_series(s, config)
-    bits = config.working_bits
+        return Fixed((hurwitz_zeta(s, 1, bits), 0, bits))
+    even, odd, K, harmonic = _log_series(s, bits)
     scale = bits + GUARD_BITS
     pi, a, b = pi_fixed(scale), (2 * x).numerator, (2 * x).denominator
     # i^(s-1) * K * v^(s-1) * (H - log(pi*v) + i*pi/2) as re + i*im

@@ -206,20 +206,20 @@ def bernoulli_numbers_by_recurrence(nmax: int) -> list[Fraction]:
     return numbers
 
 
-def hurwitz_zeta_formula(s: int, a, digits: int) -> Fraction:
+def hurwitz_zeta_formula(s: int, a, bits: int) -> Fraction:
     """The truncated formula for zeta(s, a) as an exact rational: the head
-    sum_{n<M} (n + a)^(-s) over M = max(2s, digits) terms, then the
+    sum_{n<M} (n + a)^(-s) over M = max(2s, bits // 4) terms, then the
     Euler-Maclaurin tail
         x^(1-s)/(s-1) + x^(-s)/2
           + sum_j B_{2j}/(2j)! * s(s+1)...(s+2j-2) * x^(-s-2j+1)
     at x = M + a, up to and including the first correction below
-    10^-(digits+5), each B_{2j} from mpmath's bernfrac."""
+    2^-(bits+2), each B_{2j} from mpmath's bernfrac."""
     a = Fraction(a)
-    M = max(2 * s, digits)
+    M = max(2 * s, bits // 4)
     x = M + a
     total = sum(1 / (n + a) ** s for n in range(M))
     total += 1 / ((s - 1) * x ** (s - 1)) + 1 / (2 * x ** s)
-    eps = Fraction(1, 10 ** (digits + 5))
+    eps = Fraction(1, 2 ** (bits + 2))
     rising = s
     j = 1
     while True:

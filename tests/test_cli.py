@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from pcores import asympt
-from pcores.asympt import leading_constant
-from pcores.cli import run_cli
+from pcores.asympt import approx_singular_series, leading_constant
+from pcores.cli import _number_str, run_cli
+from pcores.precision import DEFAULT_PRECISION, PrecisionConfig
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
@@ -141,6 +142,33 @@ class TestTrig:
         assert "bernoulli_sum: 412751/5" in out
         assert "cotangent_sum: 412751/5" in out
         assert out.endswith("pass: false\n")
+
+
+class TestBeyondTheStrLimit:
+    # Python refuses str() of an int longer than 4300 digits; the CLI
+    # prints numbers of any length through precision.int_str
+
+    def test_approx_at_4400_digits_is_nstr(self, capsys):
+        # the digit after the 4400th is 5 or more, so the half-up carry of
+        # the 4400-digit head is taken too
+        code, out, err = run(capsys, "approx", "--p", "7", "--n", "30001",
+                             "--method", "singular", "--kmax", "5",
+                             "--prec", "4400", "--format", "json")
+        assert (code, err) == (0, "")
+        config = PrecisionConfig(4400)
+        estimate = approx_singular_series(7, 30001, 5, config).estimate
+        ctx = config.context()
+        expected = ctx.nstr(
+            ctx.fdiv(estimate.numerator, estimate.denominator), 4400)
+        assert json.loads(out)["values"]["estimate"] == expected
+
+    def test_5000_digit_int_and_fraction(self):
+        n, config = 10 ** 4999 + 12345, DEFAULT_PRECISION
+        digits = "1" + "0" * 4994 + "12345"
+        assert _number_str(n, config) == digits
+        assert _number_str(-n, config) == "-" + digits
+        assert _number_str(Fraction(n, 2), config) == digits + "/2"
+        assert _number_str(Fraction(-1, n), config) == "-1/" + digits
 
 
 class TestPrecisionFailure:

@@ -14,8 +14,8 @@ from pcores.fourier import (_max_deviation, _row, check_bernoulli_row,
                             verify_transform_table)
 from pcores.precision import (DEFAULT_PRECISION, Fixed, PrecisionConfig,
                               roots_fixed)
-from pcores.special import (_folded_periodic_zeta, _hurwitz_zeta,
-                            cot_derivative, hurwitz_zeta, periodic_zeta)
+from pcores.special import (_folded_periodic_zeta, cot_derivative,
+                            hurwitz_zeta, periodic_zeta)
 
 
 def _pairs(samples):
@@ -300,7 +300,8 @@ class TestZetaRows:
         ctx = DEFAULT_PRECISION.context()
         report = check_zeta_row(2, 2)
         assert report.passed
-        expected = 4 * fixed_mpc(ctx, periodic_zeta(2, Fraction(1, 2)))
+        expected = 4 * fixed_mpc(ctx, periodic_zeta(
+            2, Fraction(1, 2), DEFAULT_PRECISION.working_bits))
         assert abs(expected + ctx.pi ** 2 / 3) < 1e-55
 
     def test_rows_pass(self):
@@ -314,17 +315,16 @@ class TestZetaRows:
                                                    clear_zeta_caches):
         # l(s, x) and l(s, 1 - x) share one value, computed at the folded
         # argument and conjugated on the way out; l(s, 0) is zeta(s, 1)'s
-        # integer sum, rounded to the working precision
+        # value on the working precision's scale
+        bits = DEFAULT_PRECISION.working_bits
         for x in (Fraction(3, 5), Fraction(2, 3), Fraction(3, 4),
                   Fraction(5, 6), Fraction(12, 13)):
-            fresh = _folded_periodic_zeta.__wrapped__(s, 1 - x,
-                                                      DEFAULT_PRECISION)
-            re, im, bits = fresh
-            assert periodic_zeta(s, x) == Fixed((re, -im, bits))
-            assert periodic_zeta(s, 1 - x) == fresh
-        total, scale = _hurwitz_zeta(s, Fraction(1), DEFAULT_PRECISION)
-        assert periodic_zeta(s, 0) == Fixed((
-            round(Fraction(total, 2 ** (scale - bits))), 0, bits))
+            fresh = _folded_periodic_zeta.__wrapped__(s, 1 - x, bits)
+            re, im, _ = fresh
+            assert periodic_zeta(s, x, bits) == Fixed((re, -im, bits))
+            assert periodic_zeta(s, 1 - x, bits) == fresh
+        assert periodic_zeta(s, 0, bits) == Fixed((
+            hurwitz_zeta(s, 1, bits), 0, bits))
         assert _folded_periodic_zeta.cache_info().misses == 5 + 1
 
 

@@ -1,6 +1,7 @@
 """Cotangent derivatives, Hurwitz zeta, and the periodic zeta function."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -17,6 +18,7 @@ from pcores.special import (_horner, _log_series, cot_derivative,
                             periodic_zeta)
 
 HIGH = PrecisionConfig(80)
+BITS = DEFAULT_PRECISION.working_bits
 
 
 def _cot(r, q, config=DEFAULT_PRECISION):
@@ -26,8 +28,9 @@ def _cot(r, q, config=DEFAULT_PRECISION):
 
 
 def _zeta(s, a, config=DEFAULT_PRECISION):
-    # hurwitz_zeta's Fixed, read exactly into config's context
-    return fixed_mpc(config.context(), hurwitz_zeta(s, a, config)).real
+    # hurwitz_zeta on the working precision's scale, in config's context
+    bits = config.working_bits
+    return config.context().ldexp(hurwitz_zeta(s, a, bits), -bits)
 
 # (s, a) for the Hurwitz zeta checks: s in 2, 3, 5, 8, 13, 30 at every a
 # in (0, 1] with denominator <= 6, and the s = 29, a = j/59 that the
@@ -204,10 +207,9 @@ class TestHurwitzZeta:
         config = PrecisionConfig(digits)
         prec = config.working_bits
         for s, a in _ZETA_CASES:
-            re, im, bits = hurwitz_zeta(s, a, config)
-            assert (im, bits) == (0, prec)
+            re = hurwitz_zeta(s, a, prec)
             error = abs(Fraction(re, 2 ** prec)
-                        - hurwitz_zeta_formula(s, a, digits))
+                        - hurwitz_zeta_formula(s, a, prec))
             assert error <= Fraction(1, 2 ** (prec + 4)) \
                 + Fraction(1, 2 ** (prec + 1))
 
@@ -218,9 +220,29 @@ class TestHurwitzZeta:
         ref.dps = digits + 40
         for s, a in _ZETA_CASES:
             reference = ref.zeta(s, ref.mpf(a.numerator) / a.denominator)
-            value = fixed_mpc(ref, hurwitz_zeta(s, a, config)).real
+            value = ref.ldexp(hurwitz_zeta(s, a, config.working_bits),
+                              -config.working_bits)
             assert abs(value - reference) <= ref.mpf(10) ** -(digits + 4) \
                 * reference
+
+    @pytest.mark.parametrize("digits", [40, 60, 100, 300])
+    def test_within_one_unit_of_mpmath(self, digits):
+        # hurwitz_zeta(s, a, bits) is zeta(s, a) * 2^bits within one unit,
+        # against mpmath 40 digits finer than the unit, at fixed cases and
+        # a seeded sample; zeta(s, a) < 2 * a^-s sets the leading digit
+        bits = PrecisionConfig(digits).working_bits
+        ref = mpmath.mp.clone()
+        rng = random.Random(digits)
+        cases = [(s, Fraction(a)) for s in (2, 3, 6, 12)
+                 for a in (1, Fraction(1, 2), Fraction(2, 7), Fraction(5, 13))]
+        for _ in range(12):
+            q = rng.randint(1, 60)
+            cases.append((rng.randint(2, 30), Fraction(rng.randint(1, q), q)))
+        for s, a in cases:
+            ref.prec = bits + 133 + s * a.denominator.bit_length() + 1
+            value = ref.zeta(s, ref.mpf(a.numerator) / a.denominator)
+            exact = ref.ldexp(value, bits)
+            assert abs(hurwitz_zeta(s, a, bits) - exact) <= 1, (s, a)
 
     def test_stalled_tail_raises_precision_error(self, patch_special):
         # coefficients that grow make the corrections grow: the tail must
@@ -229,20 +251,20 @@ class TestHurwitzZeta:
                       lambda j: Fraction(10 ** (40 * j)))
         with pytest.raises(PrecisionError,
                            match=r"zeta\(2, 1/3\) stalled at term size"):
-            hurwitz_zeta(2, Fraction(1, 3))
+            hurwitz_zeta(2, Fraction(1, 3), BITS)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            hurwitz_zeta(1, Fraction(1, 2))
+            hurwitz_zeta(1, Fraction(1, 2), BITS)
         with pytest.raises(ValueError):
-            hurwitz_zeta(2, Fraction(3, 2))
+            hurwitz_zeta(2, Fraction(3, 2), BITS)
         with pytest.raises(ValueError):
-            hurwitz_zeta(2, 0)
+            hurwitz_zeta(2, 0, BITS)
 
     def test_rejects_non_integer_exponent(self):
         for s in (Fraction(7, 2), 2.5):
             with pytest.raises(ValueError, match="integer s"):
-                hurwitz_zeta(s, Fraction(1, 3))
+                hurwitz_zeta(s, Fraction(1, 3), BITS)
 
 
 class TestHurwitzZetaNegative:
@@ -276,20 +298,20 @@ def _coefficients(series):
 class TestPeriodicZeta:
     def test_at_integer_phase(self):
         ctx = DEFAULT_PRECISION.context()
-        value = fixed_mpc(ctx, periodic_zeta(2, 0))
+        value = fixed_mpc(ctx, periodic_zeta(2, 0, BITS))
         assert abs(value - ctx.pi ** 2 / 6) < 1e-58
 
     def test_at_half_phase(self):
         # l(2, 1/2) = sum (-1)^n / n^2 = -pi^2/12
         ctx = DEFAULT_PRECISION.context()
-        value = fixed_mpc(ctx, periodic_zeta(2, Fraction(1, 2)))
+        value = fixed_mpc(ctx, periodic_zeta(2, Fraction(1, 2), BITS))
         assert abs(value + ctx.pi ** 2 / 12) < 1e-58
 
     def test_conjugation_symmetry(self):
         for x in (Fraction(1, 7), Fraction(2, 5), Fraction(5, 11)):
             ctx = DEFAULT_PRECISION.context()
-            a = fixed_mpc(ctx, periodic_zeta(3, x))
-            b = fixed_mpc(ctx, periodic_zeta(3, 1 - x))
+            a = fixed_mpc(ctx, periodic_zeta(3, x, BITS))
+            b = fixed_mpc(ctx, periodic_zeta(3, 1 - x, BITS))
             assert abs(a - ctx.conj(b)) < 1e-55
 
     def test_against_partial_sums(self):
@@ -303,7 +325,7 @@ class TestPeriodicZeta:
                 partial = ctx.fsum(z ** n / ctx.mpf(n) ** s
                                    for n in range(1, M + 1))
                 bound = 2 / (abs(1 - z) * ctx.mpf(M) ** s)
-                value = fixed_mpc(ctx, periodic_zeta(s, x))
+                value = fixed_mpc(ctx, periodic_zeta(s, x, BITS))
                 assert abs(value - partial) <= bound + ctx.mpf(10) ** -55
 
     def test_hurwitz_combination(self):
@@ -318,7 +340,7 @@ class TestPeriodicZeta:
                         * _zeta(s, Fraction(j, k) if j else 1)
                         for j in range(k))
                     expected = (ctx.mpf(k) ** s * fixed_mpc(
-                        ctx, periodic_zeta(s, Fraction(h, k))))
+                        ctx, periodic_zeta(s, Fraction(h, k), BITS)))
                     assert abs(total - expected) < 1e-55
 
     @pytest.mark.parametrize("digits", [20, 40, 60, 100])
@@ -331,7 +353,7 @@ class TestPeriodicZeta:
             for x in {Fraction(h, q) for q in range(2, 14)
                       for h in range(1, q // 2 + 1)}:
                 reference = _polylog_reference(s, x)
-                value = periodic_zeta(s, x, config)
+                value = periodic_zeta(s, x, config.working_bits)
                 assert abs(fixed_mpc(_POLYLOG, value) - reference) \
                     <= tol * abs(reference)
 
@@ -342,7 +364,7 @@ class TestPeriodicZeta:
         config = PrecisionConfig(digits)
         cut = _POLYLOG.ldexp(1, -config.working_bits - 2)  # eps/8
         for s in range(2, 9):
-            even, odd, _, _ = _log_series(s, config)
+            even, odd, _, _ = _log_series(s, config.working_bits)
             m = max(2 * len(even) - 2, 2 * len(odd) - 1)
             assert m > s
             for n, kept in ((m, True), (m + 2, False)):
@@ -357,7 +379,7 @@ class TestPeriodicZeta:
         # rational sums of the same integers, never above them
         config = PrecisionConfig(digits)
         for s in range(2, 9):
-            even, odd, _, _ = _log_series(s, config)
+            even, odd, _, _ = _log_series(s, config.working_bits)
             for x in {Fraction(h, q) for q in range(2, 14)
                       for h in range(1, q // 2 + 1)}:
                 u = (2 * x) ** 2
@@ -376,7 +398,7 @@ class TestPeriodicZeta:
         reference = mpmath.mp.clone()
         reference.prec = 2 * scale
         for s in range(2, 13):
-            for m, d in _coefficients(_log_series(s, config)):
+            for m, d in _coefficients(_log_series(s, config.working_bits)):
                 if m == s - 1:
                     assert d == 0
                     continue
@@ -396,7 +418,7 @@ class TestPeriodicZeta:
         reference.prec = 3 * scale
         bound = reference.mpf(1) / 2 + reference.mpf(2) ** -8
         for s in range(2, 13):
-            series = _log_series(s, config)
+            series = _log_series(s, config.working_bits)
             for m, d in _coefficients(series):
                 if m >= s:
                     n = m - s
@@ -417,17 +439,17 @@ class TestPeriodicZeta:
         # a 100-digit value after a 40-digit one must not reuse 40-digit
         # coefficients; both are computed afresh from _log_series
         x = Fraction(2, 7)
-        periodic_zeta(5, x, PrecisionConfig(40))
-        value = periodic_zeta(5, x, PrecisionConfig(100))
+        periodic_zeta(5, x, PrecisionConfig(40).working_bits)
+        value = periodic_zeta(5, x, PrecisionConfig(100).working_bits)
         reference = _polylog_reference(5, x)
         assert abs(fixed_mpc(_POLYLOG, value) - reference) \
             < 1e-109 * abs(reference)
 
     def test_rejects_small_exponent(self):
         with pytest.raises(ValueError):
-            periodic_zeta(1, Fraction(1, 3))
+            periodic_zeta(1, Fraction(1, 3), BITS)
 
     @pytest.mark.parametrize("s", [Fraction(5, 2), 2.5, 3.25])
     def test_rejects_non_integer_exponent(self, s):
         with pytest.raises(ValueError):
-            periodic_zeta(s, Fraction(1, 3))
+            periodic_zeta(s, Fraction(1, 3), BITS)
