@@ -26,6 +26,7 @@ COPIED = ("src", "tests", "scripts", "pyproject.toml", "README.md")
 
 ASYMPT = "tests/test_asympt.py"
 CLI = "tests/test_cli.py"
+ETA = "tests/test_asympt.py::TestEtaTransform"
 FOURIER = "tests/test_fourier.py"
 GOLDEN = "tests/test_cli.py::test_golden_rendering"
 RENDERER = "tests/test_precision.py::test_decimal_str_is_nstr"
@@ -158,7 +159,22 @@ MUTANTS = (
      "            2 ** (r + 2) << 2 * F), prec)",
      "            2 ** (r + 1) << 2 * F), prec)",
      VARIANTS),
-    # a command that builds no mpmath context must not load mpmath
+    # the fixed-point modular-transformation check: the phase one root of
+    # unity off, the exponential's Taylor series without its r^2/2 term,
+    # and the division by the conjugate's norm without the conjugate
+    ("asympt.py",
+     "    j = (p * p - 1) * h % (24 * k)",
+     "    j = ((p * p - 1) * h + 1) % (24 * k)",
+     ETA),
+    ("precision.py",
+     "        total, j = total + term, j + 1",
+     "        total, j = total + (term if j != 2 else 0), j + 1",
+     "tests/test_precision.py::test_exp_fixed_within_one_unit"),
+    ("asympt.py",
+     "    re, im, s = _mul(w, Fixed((c, -d, t)), bits)",
+     "    re, im, s = _mul(w, Fixed((c, d, t)), bits)",
+     ETA),
+    # no command may load mpmath
     ("precision.py",
      "from typing import NamedTuple\n",
      "from typing import NamedTuple\n\nimport mpmath\n",

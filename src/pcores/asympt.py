@@ -20,8 +20,9 @@ from typing import NamedTuple
 
 from .arith import (bernoulli_poly, dedekind_sum, divisors, is_prime,
                     legendre_symbol, ramanujan_sum, sawtooth)
-from .precision import (DEFAULT_PRECISION, GUARD_BITS, PrecisionConfig, Real,
-                        VerificationError, pi_fixed, round_binary, sqrt_fixed)
+from .precision import (DEFAULT_PRECISION, GUARD_BITS, Fixed, PrecisionConfig,
+                        Real, VerificationError, exp_fixed, pi_fixed,
+                        roots_fixed, round_binary, sqrt_fixed, sqrt_float)
 from .series import pcore_count
 from .special import (cot_derivative, cot_polynomial, hurwitz_zeta,
                       hurwitz_zeta_neg)
@@ -571,28 +572,61 @@ def verify_dirichlet_series(p: int, s: int, n: int, kmax: int,
         tolerance=tail + 1e-20, deviation=deviation)
 
 
-def eta_products(p: int, x, factors: int,
-                 config: PrecisionConfig = DEFAULT_PRECISION) -> tuple:
+def _mul(u: Fixed, v: Fixed, bits: int) -> Fixed:
+    # u * v, low bits dropped to keep ``bits``: a relative 2^(1.5-bits)
+    (a, b, s), (c, d, t) = u, v
+    re, im = a * c - b * d, a * d + b * c
+    drop = max(max(abs(re), abs(im)).bit_length() - bits, 0)
+    return Fixed((re >> drop, im >> drop, s + t - drop))
+
+
+def _quotient(w: Fixed, u: Fixed, n: int, v: Fixed, bits: int) -> Fixed:
+    # w * u^n / v to ``bits`` significant bits: u^n by square-and-multiply,
+    # then one division, w * u^n * conj(v) / |v|^2
+    while n:
+        w = _mul(w, u, bits) if n & 1 else w
+        u, n = _mul(u, u, bits), n >> 1
+    c, d, t = v
+    re, im, s = _mul(w, Fixed((c, -d, t)), bits)
+    norm = c * c + d * d
+    shift = bits + norm.bit_length()
+    return Fixed(((re << shift) // norm, (im << shift) // norm,
+                  s - 2 * t + shift))
+
+
+def _distance(u: Fixed, v: Fixed, c) -> float:
+    # |u - c*v| for a dyadic rational c, a float rounded once
+    (a, b, s), (e, f, t), (num, den) = u, v, c.as_integer_ratio()
+    re, im = ((g * den << max(t - s, 0)) - (h * num << max(s - t, 0))
+              for g, h in ((a, e), (b, f)))
+    return sqrt_float(re * re + im * im, max(s, t) + den.bit_length() - 1)
+
+
+def eta_products(p: int, x: Fixed, factors: int) -> tuple:
     """The partial products A = prod (1 - x^n) and B = prod (1 - x^(pn))
     over n = 1..factors at a point x inside the disk, in one pass, and a
     bound on the relative truncation error of both f = B^p/A (p-core
     counts) and H = A^p/B: expm1((p+1) * |x|^(factors+1) / (1-|x|)^2).
-    Requires |x| <= 0.95.
+    Requires |x| <= 0.95.  x is a Fixed on W bits, the scale x^n and x^(pn)
+    are floored to; A and B keep W significant bits, each within a relative
+    6 * factors * 2^-W / (1-|x|)^3 of the exact products at x.
     """
-    ctx = config.context()
-    z = ctx.convert(x)
-    radius = float(abs(z))
+    W = x[2]
+    radius = _distance(x, x, 0)
     if radius > 0.95:
         raise ValueError("|x| <= 0.95 required for a useful truncation bound")
-    one = ctx.mpf(1)
-    a, b = ctx.mpc(1), ctx.mpc(1)
-    zn, zpn = ctx.mpc(1), ctx.mpc(1)
-    zp = z ** p
+
+    def times(z, w):  # z * w floored to the scale W
+        return z[0] * w[0] - z[1] * w[1] >> W, z[0] * w[1] + z[1] * w[0] >> W
+
+    zn = zpn = zp = (1 << W, 0)
+    for _ in range(p):
+        zp = times(zp, x)
+    a = b = Fixed((1, 0, 0))
     for _ in range(factors):
-        zn *= z
-        zpn *= zp
-        a *= one - zn
-        b *= one - zpn
+        zn, zpn = times(zn, x), times(zpn, zp)
+        a = _mul(a, Fixed(((1 << W) - zn[0], -zn[1], W)), W)
+        b = _mul(b, Fixed(((1 << W) - zpn[0], -zpn[1], W)), W)
     tail = (p + 1) * radius ** (factors + 1) / (1.0 - radius) ** 2
     bound = math.expm1(tail) if tail < 700 else math.inf
     return a, b, bound
@@ -601,8 +635,8 @@ def eta_products(p: int, x, factors: int,
 class TransformReport(NamedTuple):
     """Both sides of the transformation and how close they came."""
 
-    lhs: object
-    rhs: object
+    lhs: Fixed
+    rhs: Fixed
     exponent: int
     truncation_bound: float
     alt_exponent_deviation: float
@@ -629,6 +663,9 @@ def verify_eta_transform(p: int, h: int, k: int, t: float, factors: int = 400,
     product H = A^p/B at y = e^(2*pi*i*b/k - 4*pi^2/(k^2*p*t)) with the
     closed-form prefactor, where b*p*h = -1 mod k.  A and B are the partial
     products of eta_products, each over its first ``factors`` factors.
+    In integers on W = working_bits + GUARD_BITS bits, t read exactly, lhs
+    and rhs are Fixed values within a relative (7 * p * factors + 4 * p^2)
+    * 2^-W / (1-r)^3 of the exact truncated sides, r = |x| or |y|.
 
     The power of t in the prefactor is -(p-1)/2; the report also carries
     the deviation under the opposite-sign reading so the resolution of
@@ -639,40 +676,41 @@ def verify_eta_transform(p: int, h: int, k: int, t: float, factors: int = 400,
         raise ValueError("need 0 <= h < k")
     if gcd(h, k) != 1:
         raise ValueError("need gcd(h,k) = 1")
-    if not t > 0:
-        raise ValueError("t must be positive")
+    if not (t > 0 and math.isfinite(t)):
+        raise ValueError("t must be positive and finite")
     if factors < 1:
         raise ValueError("factors must be >= 1")
-    ctx = config.context()
-    t = ctx.mpf(t)
-    half = (p - 1) // 2
-
-    x = ctx.expjpi(ctx.fdiv(2 * h, k)) * ctx.exp(-t)
-    prod_n, prod_pn, lhs_bound = eta_products(p, x, factors, config)
-    lhs = prod_pn ** p / prod_n
-
+    W = config.working_bits + GUARD_BITS
+    t, half, pi = Fraction(t), (p - 1) // 2, pi_fixed(W)
     b = 0 if k == 1 else (-pow(p * h % k, -1, k)) % k
-    y = ctx.expjpi(ctx.fdiv(2 * b, k)) \
-        * ctx.exp(-4 * ctx.pi ** 2 / (k * k * p * t))
-    prod_n, prod_pn, rhs_bound = eta_products(p, y, factors, config)
+    moduli = (exp_fixed(math.floor(-t * 2 ** W), W), exp_fixed(
+        math.floor(Fraction(-4 * pi * pi, k * k * p << W) / t), W))
+    eta_products(p, Fixed((max(moduli), 0, W)), 0)  # |x|, |y| checked first
+    cos, sin = roots_fixed(W, k)
+    x, y = (Fixed((cos[-m % k] * e >> W, sin[-m % k] * e >> W, W))
+            for m, e in zip((h, b), moduli))
 
-    prefactor = (2 * ctx.pi / k) ** half \
-        * ctx.power(p, -ctx.fdiv(p, 2)) * legendre_symbol(k, p)
-    prefactor *= t ** (-half)
-    phase = ctx.exp((p * p - 1) * t / 24) \
-        * ctx.expjpi(-ctx.fdiv((p * p - 1) * h % (24 * k), 12 * k))
-    rhs = prefactor * phase * (prod_n ** p / prod_pn)
+    prod_n, prod_pn, lhs_bound = eta_products(p, x, factors)
+    lhs = _quotient(Fixed((1, 0, 0)), prod_pn, p, prod_n, W)
+    prod_n, prod_pn, rhs_bound = eta_products(p, y, factors)
 
-    scale = float(abs(lhs))
-    deviation = float(abs(lhs - rhs)) / scale
-    alt = rhs * t ** (p - 1)  # the opposite exponent reading, t^(+(p-1)/2)
-    alt_deviation = float(abs(lhs - alt)) / scale
-    trunc = lhs_bound + rhs_bound
-    return TransformReport(lhs=lhs, rhs=rhs, exponent=-half,
-                           truncation_bound=trunc,
-                           alt_exponent_deviation=alt_deviation,
-                           tolerance=_TRANSFORM_TOLERANCE,
-                           relative_deviation=deviation)
+    # (2*pi/k)^half * p^(-p/2) * (k|p) * t^-half times the phase
+    # e^((p^2-1)*t/24 - 2*pi*i*j/(24*k)), p^(-p/2) = p^-half / sqrt(p)
+    cos, sin = roots_fixed(W, 24 * k)
+    j = (p * p - 1) * h % (24 * k)
+    ratio = Fraction(legendre_symbol(k, p) << half, (k * p) ** half) \
+        / t ** half * exp_fixed(math.floor((p * p - 1) * t / 24 * 2 ** W), W)
+    phase = Fixed((cos[j] * ratio.numerator, sin[j] * ratio.numerator, 2 * W))
+    divisor = Fixed((ratio.denominator * sqrt_fixed(p, W), 0, W))
+    prefactor = _quotient(phase, Fixed((pi, 0, W)), half, divisor, W)
+    rhs = _quotient(prefactor, prod_n, p, prod_pn, W)
+
+    size = _distance(lhs, rhs, 0)
+    return TransformReport(
+        lhs, rhs, exponent=-half, truncation_bound=lhs_bound + rhs_bound,
+        alt_exponent_deviation=_distance(lhs, rhs, t ** (p - 1)) / size,
+        tolerance=_TRANSFORM_TOLERANCE,
+        relative_deviation=_distance(lhs, rhs, 1) / size)
 
 
 class TrigIdentityReport(NamedTuple):

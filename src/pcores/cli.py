@@ -53,14 +53,16 @@ def _resolve_precision(args) -> PrecisionConfig:
 def _number_str(value, config: PrecisionConfig) -> str:
     """The CLI's one number renderer: decimal_str for a Real, the exact
     value of an int or any other Fraction, as str() writes it but at any
-    length, and nstr for the eta check's mpmath values."""
+    length, and a complex Fixed as (re + imj) or (re - imj), like nstr."""
     if isinstance(value, Real):
         return decimal_str(value, config)
     if isinstance(value, (int, Fraction)):
         num, den = value.as_integer_ratio()
         return int_str(num) + (f"/{int_str(den)}" if den != 1 else "")
-    ctx = config.context()
-    return ctx.nstr(ctx.convert(value), config.decimal_digits)
+    re, im, bits = value
+    unit, sign = Fraction(1, 2) ** bits, " - " if im < 0 else " + "
+    return (f"({decimal_str(re * unit, config)}{sign}"
+            f"{decimal_str(abs(im) * unit, config)}j)")
 
 
 _JSON_TYPES = (bool, int, float, str, list, dict, type(None))
@@ -69,7 +71,7 @@ _JSON_TYPES = (bool, int, float, str, list, dict, type(None))
 def _report(report, config: PrecisionConfig, *residuals):
     """(values, residuals, passed) of a verify report, whose fields are
     what its command prints, in order; the named fields are residuals.
-    Fractions and mp values print as _number_str gives them."""
+    Fractions and Fixed values print as _number_str gives them."""
     values = {key: value if isinstance(value, _JSON_TYPES)
               else _number_str(value, config)
               for key, value in report._asdict().items()}

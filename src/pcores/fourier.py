@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .arith import bernoulli_number, bernoulli_poly, is_prime, legendre_symbol
 from .precision import (DEFAULT_PRECISION, GUARD_BITS, Fixed, PrecisionConfig,
-                        roots_fixed, shift_round, sqrt_fixed)
+                        roots_fixed, shift_round, sqrt_fixed, sqrt_float)
 from .special import cot_derivative, hurwitz_zeta, periodic_zeta
 
 
@@ -49,6 +49,7 @@ def _fixed(value, bits: int) -> tuple:
         return shift_round(re, scale - bits), shift_round(im, scale - bits)
     if isinstance(value, complex):
         return _fixed(value.real, bits)[0], _fixed(value.imag, bits)[0]
+    # mpmath samples, held for the mpc grids of perfbench/ladders.py
     if hasattr(value, "_mpc_") or hasattr(value, "_mpf_"):
         parts = getattr(value, "_mpc_", None) or (value._mpf_, (0, 0, 0, 0))
         if any(not man and exp for _, man, exp, _ in parts):
@@ -117,12 +118,8 @@ class DftReport(NamedTuple):
 
 
 def _max_deviation(pairs, bits: int) -> float:
-    """The largest |re + i*im| * 2^-bits over integer pairs as a float,
-    rounded once: isqrt of the exact norm, 64 bits finer with a sticky last
-    bit, then one correctly rounded division."""
-    norm = max(re * re + im * im for re, im in pairs) << 128
-    root = math.isqrt(norm)
-    return (root | (root * root != norm)) / (1 << bits + 64)
+    """The largest |re + i*im| * 2^-bits over integer pairs, by sqrt_float."""
+    return sqrt_float(max(re * re + im * im for re, im in pairs), bits)
 
 
 def _row(name: str, k: int, parameters: dict, samples, expected,

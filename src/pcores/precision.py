@@ -5,16 +5,13 @@ A :class:`PrecisionConfig` speaks in decimal digits only at the boundary,
 what a command is asked for and prints; inside, computations take bits.
 A real number in this package is a :class:`Real`, a Fraction rounded once
 to the working precision by :func:`round_binary` and printed by
-:func:`decimal_str`, which gives the digits mpmath's ``nstr`` would; an
+:func:`decimal_str`, which gives the digits mpmath's ``nstr`` would; or an
 integer times 2^-bits (a :class:`Fixed` if complex), with pi, roots of
-unity, logarithms and square roots summed here; or, in the
-modular-transformation check alone, a value produced inside an mpmath
-context cloned for a specific :class:`PrecisionConfig`, so callers with
-different precision needs never share mutable global state.  Integers are
+unity, exponentials, logarithms and square roots summed here, and
+moduli rounded once to a float by :func:`sqrt_float`.  Integers are
 never rounded from such values: each one is computed exactly, and
-:func:`int_str` prints it whatever its length.  mpmath is
-imported where the first context is built, so a command that builds none
-never loads it.
+:func:`int_str` prints it whatever its length.  No command imports
+mpmath; :meth:`PrecisionConfig.context` serves perfbench/ladders.py.
 """
 
 from __future__ import annotations
@@ -61,7 +58,7 @@ class PrecisionConfig(_PrecisionFields):
             raise ValueError("decimal_digits must be at least 20")
         return super().__new__(cls, decimal_digits)
 
-    @classmethod
+    @classmethod  # held for perfbench/ladders.py
     def for_digits(cls, decimal_digits: int) -> "PrecisionConfig":
         """The same config as ``PrecisionConfig(decimal_digits)``."""
         return cls(decimal_digits)
@@ -76,7 +73,7 @@ class PrecisionConfig(_PrecisionFields):
         the ``prec`` of :meth:`context`."""
         return round((self.working_dps + 1) * _LOG2_10)
 
-    def context(self):
+    def context(self):  # held for perfbench/ladders.py's mpc grids
         """The (shared, treat-as-immutable) mpmath context for this config."""
         return _context(self.working_dps)
 
@@ -85,7 +82,7 @@ DEFAULT_PRECISION = PrecisionConfig()
 
 
 @functools.lru_cache(maxsize=None)
-def _context(dps: int):
+def _context(dps: int):  # held for perfbench/ladders.py via context()
     import mpmath
     ctx = mpmath.mp.clone()
     ctx.dps = dps
@@ -192,6 +189,32 @@ def log_fixed(x: int, bits: int) -> int:
             total += 2 * weight * (power // j)
             power, j = power * square >> scale, j + 2
     return shift_round(total, GUARD_BITS)
+
+
+def exp_fixed(x: int, bits: int) -> int:
+    """exp(x * 2^-bits) * 2^bits, within one unit for x <= 0 (0 below
+    e^-(bits+2)) and a relative 2^-bits above: e^r * 2^n, x = n*log 2 + r,
+    0 <= r < log 2, e^r a Taylor sum GUARD_BITS + bit_length(n) bits finer."""
+    if x < -(bits + 2) << bits:
+        return 0
+    scale = bits + GUARD_BITS + (abs(x) >> bits).bit_length() + 1
+    n, r = divmod(x << scale - bits, log_fixed(2 << scale, scale))
+    total, term, j = 0, 1 << scale, 0
+    while term:
+        total, j = total + term, j + 1
+        term = (term * r >> scale) // j
+    return shift_round(total, scale - bits - n)
+
+
+def sqrt_float(norm: int, bits: int) -> float:
+    """sqrt(norm) * 2^-bits as a float rounded once: isqrt 64 bits finer
+    with a sticky last bit, then one correctly rounded division."""
+    root = math.isqrt(norm << 128)
+    root |= root * root != norm << 128
+    try:
+        return root / (1 << bits + 64)
+    except OverflowError:  # past the largest float: inf, as float() of an mpf
+        return math.inf
 
 
 def int_str(n: int) -> str:

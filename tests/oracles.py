@@ -196,6 +196,29 @@ def partition_product(ctx, x, factors: int):
     return +value
 
 
+def eta_transform_sides(ctx, p: int, h: int, k: int, t, factors: int):
+    """[(lhs, |x|), (rhs, |y|)] of the modular transformation checked by
+    pcores.asympt.verify_eta_transform: f = B^p/A at x = e^(2*pi*i*h/k - t),
+    and the prefactor times the phase times H = A^p/B at
+    y = e^(2*pi*i*b/k - 4*pi^2/(k^2*p*t)), b*p*h = -1 mod k, each product
+    over its first ``factors`` factors, as mpmath operators."""
+    t, half = ctx.mpf(t), (p - 1) // 2
+    b = 0 if k == 1 else -pow(p * h % k, -1, k) % k
+    x = ctx.expjpi(ctx.mpf(2 * h) / k) * ctx.exp(-t)
+    y = ctx.expjpi(ctx.mpf(2 * b) / k) \
+        * ctx.exp(-4 * ctx.pi ** 2 / (k * k * p * t))
+    f = (partition_product(ctx, x, factors)
+         / partition_product(ctx, x ** p, factors) ** p)
+    H = (partition_product(ctx, y ** p, factors)
+         / partition_product(ctx, y, factors) ** p)
+    symbol = 1 if pow(k, (p - 1) // 2, p) == 1 else -1  # (k|p), Euler
+    prefactor = ((2 * ctx.pi / k) ** half * ctx.power(p, -ctx.mpf(p) / 2)
+                 * symbol * t ** -half)
+    phase = ctx.exp((p * p - 1) * t / 24) \
+        * ctx.expjpi(-ctx.mpf((p * p - 1) * h % (24 * k)) / (12 * k))
+    return [(f, abs(x)), (prefactor * phase * H, abs(y))]
+
+
 def bernoulli_numbers_by_recurrence(nmax: int) -> list[Fraction]:
     """B_0..B_nmax (B_1 = -1/2) from sum_{j<=m} C(m+1, j) B_j = 0, summed
     in Fractions."""

@@ -18,10 +18,10 @@ from pcores.asympt import (approx_divisor_sum, approx_singular_series,
                            verify_quadratic_trig_identity,
                            verify_ramanujan_identity)
 import pcores.asympt as asympt
-from oracles import cot_derivative_horner
+from oracles import cot_derivative_horner, eta_transform_sides
 from pcores.arith import divisors, is_prime, legendre_symbol, ramanujan_sum
-from pcores.precision import (DEFAULT_PRECISION, PrecisionConfig, Real,
-                              VerificationError)
+from pcores.precision import (DEFAULT_PRECISION, GUARD_BITS,
+                              PrecisionConfig, Real, VerificationError)
 from pcores.series import pcore_count
 from pcores.special import cot_polynomial
 
@@ -482,6 +482,34 @@ class TestEtaTransform:
     def test_k1_case(self):
         report = verify_eta_transform(5, 0, 1, 0.7)
         assert report.passed
+
+    @pytest.mark.parametrize("p, h, k, t", [(13, 1, 4, 0.6),
+                                            (31, 0, 1, 1.543)])
+    def test_sides_within_the_stated_bound(self, p, h, k, t):
+        # lhs and rhs against mpmath 40 digits finer, within the relative
+        # (7*p*factors + 4*p^2) * 2^-W / (1-r)^3 the docstring states
+        report = verify_eta_transform(p, h, k, t)
+        ctx = mpmath.mp.clone()
+        ctx.prec = DEFAULT_PRECISION.working_bits + 133
+        W = DEFAULT_PRECISION.working_bits + GUARD_BITS
+        sides = eta_transform_sides(ctx, p, h, k, t, 400)
+        for (re, im, s), (exact, radius) in zip(report[:2], sides):
+            value = ctx.mpc(ctx.ldexp(re, -s), ctx.ldexp(im, -s))
+            bound = (7 * p * 400 + 4 * p * p) * 2.0 ** -W / (1 - radius) ** 3
+            assert abs(value - exact) <= bound * abs(exact)
+
+    def test_deviation_beyond_a_float_reads_inf(self):
+        # one factor at p = 1009 puts rhs near 1e10584 against an lhs near 2:
+        # both deviations read inf, as mpmath's float() gave them
+        report = verify_eta_transform(1009, 0, 1, 0.7, factors=1)
+        assert report.relative_deviation == math.inf
+        assert report.alt_exponent_deviation == math.inf
+        assert not report.passed
+
+    def test_non_finite_t_is_a_usage_error(self):
+        for t in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                verify_eta_transform(5, 1, 2, t)
 
     def test_truncation_bound_gates_pass(self):
         report = verify_eta_transform(5, 1, 2, 0.5, factors=6)

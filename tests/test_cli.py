@@ -221,6 +221,14 @@ class TestVerifySubcommands:
         assert code == 1
         assert "pass: false" in out
 
+    @pytest.mark.parametrize("t", ["inf", "nan"])
+    def test_eta_transform_non_finite_t_exits_2(self, capsys, t):
+        # one usage line, not a traceback from Fraction(inf)
+        code, out, err = run(capsys, "verify", "eta-transform", "--t", t)
+        assert (code, out) == (2, "")
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"error": "usage", "message": "t must be positive and finite"}]
+
     def test_eta_transform_tolerance_is_fixed(self, capsys):
         # a looser tolerance could only pass a product too shallow to check
         code, out, _ = run(capsys, "verify", "eta-transform",

@@ -30,16 +30,14 @@ def test_import_loads_no_other_layer(module):
     assert json.loads(result.stdout) == ["pcores", module]
 
 
-# Modules that only some commands need: dataclasses (with inspect) in none,
-# hashlib (with OpenSSL's _hashlib) only under --cache, mpmath only in the
-# one command that builds an mpmath context, verify eta-transform, and
-# pcores.fourier only in verify fft, whose table is computed in fixed-point
-# integers.
+# Modules that only some commands need: dataclasses (with inspect) and
+# mpmath in none, hashlib (with OpenSSL's _hashlib) only under --cache, and
+# pcores.fourier only in verify fft.
 OPTIONAL_MODULES = ("dataclasses", "inspect", "hashlib", "_hashlib",
                     "mpmath", "pcores.fourier")
 
-# One case per COMMANDS row.  A command that computes in integers alone
-# builds no mpmath context, so it loads no mpmath.
+# One case per COMMANDS row.  Every command computes in integers,
+# Fractions and fixed-point values, so none loads mpmath.
 LOAD_CASES = [
     (["classnum", "--p", "199"], []),
     (["approx", "--p", "17", "--n", "100000", "--method", "singular"], []),
@@ -57,7 +55,7 @@ LOAD_CASES = [
     (["verify", "dirichlet-series", "--p", "7", "--s", "3", "--n", "12",
       "--kmax", "100"], []),
     (["verify", "eta-transform", "--p", "7", "--h", "1", "--k", "6",
-      "--t", "0.217"], ["mpmath"]),
+      "--t", "0.217"], []),
     (["verify", "trig-identity", "--r", "4", "--p", "43"], []),
     (["verify", "divisibility", "--p", "7", "--rmax", "5"], []),
 ]
@@ -88,6 +86,25 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, loaded):
     code, added = json.loads(result.stdout.splitlines()[-1])
     assert code == 0
     assert [name for name in added if name in OPTIONAL_MODULES] == loaded
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in LOAD_CASES])
+def test_command_runs_with_mpmath_blocked(tmp_path, argv):
+    # with mpmath's import refused, each command exits and prints as it does
+    # with mpmath importable
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    runs = []
+    for block in (False, True):
+        probe = ("import sys\n"
+                 + ("sys.modules['mpmath'] = None\n" if block else "")
+                 + "from pcores.cli import run_cli\n"
+                 "sys.exit(run_cli(sys.argv[1:]))")
+        args = [str(tmp_path / f"{block}.jsonl") if a == "CACHE" else a
+                for a in argv]
+        result = subprocess.run([sys.executable, "-c", probe, *args],
+                                capture_output=True, text=True, env=env)
+        runs.append((result.returncode, result.stdout, result.stderr))
+    assert runs[1] == runs[0]
 
 
 def _contexts_built(argv):

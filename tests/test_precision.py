@@ -7,8 +7,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from pcores.precision import (PrecisionConfig, Real, decimal_str, log_fixed,
-                              pi_fixed, round_binary, shift_round, sqrt_fixed)
+from pcores.precision import (PrecisionConfig, Real, decimal_str, exp_fixed,
+                              log_fixed, pi_fixed, round_binary, shift_round,
+                              sqrt_fixed)
 
 
 class TestPrecisionConfig:
@@ -61,6 +62,20 @@ def test_log_fixed_within_one_unit():
         for x in values:
             exact = ctx.ldexp(ctx.log(ctx.ldexp(x, -bits)), bits)
             assert abs(log_fixed(x, bits) - exact) <= 1, (bits, x)
+
+
+def test_exp_fixed_within_one_unit():
+    # against mpmath 40 digits finer: one unit at or below 1, and one unit
+    # in the last of ``bits`` significant bits above it; e^-154 is 0 below
+    # 2^-102
+    ctx = mpmath.mp.clone()
+    for bits in (100, 266, 1000):
+        ctx.prec = bits + 133
+        for value in (-154, -0.5, -3e-5, 0.3, 12.7, 400):
+            x = int(ctx.nint(ctx.ldexp(value, bits)))
+            exact = ctx.ldexp(ctx.exp(ctx.ldexp(x, -bits)), bits)
+            unit = max(1, ctx.ldexp(exact, -bits))
+            assert abs(exp_fixed(x, bits) - exact) <= unit, (bits, value)
 
 
 def test_sqrt_fixed_rounds_to_nearest():

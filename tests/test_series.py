@@ -10,7 +10,7 @@ from oracles import (PowerSeries, core_counts_by_lattice, euler_series,
                      partition_product, partition_series, partitions,
                      pcore_count_bruteforce)
 from pcores.asympt import eta_products
-from pcores.precision import DEFAULT_PRECISION
+from pcores.precision import DEFAULT_PRECISION, GUARD_BITS, Fixed
 from pcores.series import pcore_count, pcore_numerator, pcore_series
 
 P100 = 190569292
@@ -152,8 +152,16 @@ class TestPowerSeries:
 
 def eta_quotients(p, x, factors):
     """(f, H, bound): f = B^p/A and H = A^p/B from the partial products
-    A = prod (1-x^n) and B = prod (1-x^(pn)) of eta_products."""
-    a, b, bound = eta_products(p, x, factors)
+    A = prod (1-x^n) and B = prod (1-x^(pn)) of eta_products, x given to it
+    as a Fixed on W = working_bits + GUARD_BITS, A and B read back as mpc."""
+    ctx = DEFAULT_PRECISION.context()
+    W = DEFAULT_PRECISION.working_bits + GUARD_BITS
+    z = ctx.mpc(x)
+    fixed = Fixed((int(ctx.nint(ctx.ldexp(z.real, W))),
+                   int(ctx.nint(ctx.ldexp(z.imag, W))), W))
+    *products, bound = eta_products(p, fixed, factors)
+    a, b = (ctx.mpc(ctx.ldexp(re, -s), ctx.ldexp(im, -s))
+            for re, im, s in products)
     return b ** p / a, a ** p / b, bound
 
 
@@ -200,7 +208,7 @@ class TestEtaQuotientValue:
 
     def test_radius_guard(self):
         with pytest.raises(ValueError):
-            eta_products(5, 0.96, 100)
+            eta_products(5, Fixed(((96 << 268) // 100, 0, 268)), 100)
 
     def test_truncation_bound_is_honest(self):
         ctx = DEFAULT_PRECISION.context()
