@@ -24,6 +24,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "scripts", "pyproject.toml", "README.md")
 
+ARITH = "tests/test_arith.py"
 ASYMPT = "tests/test_asympt.py"
 CLI = "tests/test_cli.py"
 ETA = "tests/test_asympt.py::TestEtaTransform"
@@ -72,9 +73,30 @@ MUTANTS = (
      "            if c[j] and j % q > q - q // l:",
      ASYMPT),
     ("asympt.py",
-     "        while N % (q * l) == 0:",
-     "        while N % (q * l * l) == 0:",
+     "        q = l ** a\n",
+     "        q = l ** (a - 1)\n",
      ASYMPT),
+    # the products over the factorization: the local exponent a - i of the
+    # twisted divisor sum off by one, its character power (l|p)^i dropped,
+    # and the two prime-power cases of c_(l^a)(n) swapped
+    ("asympt.py",
+     "        total *= sum(chi ** i * l ** (e * (a - i)) for i in range(a + 1))",
+     "        total *= sum(chi ** i * l ** (e * (a - i + 1)) "
+     "for i in range(a + 1))",
+     ASYMPT),
+    ("asympt.py",
+     "        total *= sum(chi ** i * l ** (e * (a - i)) for i in range(a + 1))",
+     "        total *= sum(chi * l ** (e * (a - i)) for i in range(a + 1))",
+     ASYMPT),
+    ("arith.py",
+     "        total *= q * l - q if n % (q * l) == 0 else -q",
+     "        total *= -q if n % (q * l) == 0 else q * l - q",
+     ARITH),
+    # Miller-Rabin without base 41 passes psi_12 as prime
+    ("arith.py",
+     "_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)",
+     "_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)",
+     ARITH),
     # _twisted_ramanujan_sum: the (k|p) weight dropped, one fraction bit
     # lost, bits = prec/2, and a 2^(9-prec) relative error on the estimate
     ("asympt.py",

@@ -13,7 +13,9 @@ The requests are:
 - the first 100 requests of seeds 0 and 1 of each workload stream of
   perfbench/workloads.py, with --cache dropped;
 - a precision sweep of approx, cp and verify dirichlet-series from 20 to
-  4400 digits, across Python's 4300-digit limit on str() of an int.
+  4400 digits, across Python's 4300-digit limit on str() of an int;
+- the divisor estimate and the Dirichlet check at arguments with large,
+  repeated and prime-power factors.
 
 For each request the stdout, the stderr and the exit code are compared.
 ``--moved COMMAND:FIELD`` (repeatable, e.g. ``"verify fft:max_row_deviation"``)
@@ -43,6 +45,16 @@ SWEEP = ("approx --p 7 --n 30001 --method singular --kmax 5",
          "approx --p 17 --n 1000 --method divisor",
          "cp --p 5",
          "verify dirichlet-series --p 5 --s 2 --n 3")
+
+# N = n + (p^2-1)/24 near 10^12 and 10^14 for two primes, then N = 7^2 * 10^6
+# and N = 2^40; and n = 360 = 2^3 * 3^2 * 5
+FACTORED = ("approx --p 5 --n 1000000000000 --method divisor",
+            "approx --p 5 --n 100000000000000 --method divisor",
+            "approx --p 13 --n 1000000000000 --method divisor",
+            "approx --p 13 --n 100000000000000 --method divisor",
+            "approx --p 7 --n 48999998 --method divisor",
+            "approx --p 11 --n 1099511627771 --method divisor",
+            "verify dirichlet-series --p 5 --s 2 --n 360")
 
 # Runs in each tree's subprocess: argv lists in on stdin, one
 # [code, stdout, stderr] per request out to the file named by argv[1].
@@ -78,6 +90,7 @@ def requests() -> list[list[str]]:
         for line in SWEEP:
             argvs.append(line.split() + ["--prec", str(digits),
                                          "--format", "json"])
+    argvs.extend(line.split() for line in FACTORED)
     return argvs
 
 

@@ -1,8 +1,8 @@
 """Exact arithmetic number theory.
 
-Mobius function, Legendre symbol, sawtooth, Dedekind sums, Ramanujan sums,
-Bernoulli numbers and polynomials, divisor enumeration.  Everything here is
-exact: integers or Fractions, no rounding anywhere.
+Primality, factorization (every multiplicative function is read from it),
+Legendre symbol, sawtooth, Dedekind sums, Ramanujan sums, Bernoulli numbers
+and polynomials.  Everything here is exact: integers or Fractions.
 """
 
 from __future__ import annotations
@@ -10,17 +10,21 @@ from __future__ import annotations
 import functools
 import threading
 from fractions import Fraction
-from itertools import compress
 from math import comb, factorial, gcd, isqrt
 
-# Deterministic Miller-Rabin witness set for n < 3.3e24 — far beyond any
-# modulus used here.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin on these bases is proven only for n < psi_13; without 41 it
+# stops at psi_12 = 318665857834031151167461 = 399165290221 * 798330580441
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 
 @functools.lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, run once per n and cached."""
+    """Deterministic Miller-Rabin, run once per n and cached; n >= psi_13
+    raises ValueError."""
+    if n >= _PSI_13:
+        raise ValueError(f"primality is proven only below {_PSI_13}, got {n}")
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -44,31 +48,30 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def mobius(m: int) -> int:
-    """Mobius function, read from a sieve up to the next power of two."""
-    if m < 1:
-        raise ValueError("mobius requires m >= 1")
-    return _mobius_table(m.bit_length())[m] - 1
-
-
-# bytes.translate table taking 1 + mu to 1 - mu
-_NEGATE = bytes.maketrans(b"\0\2", b"\2\0")
-
-
-@functools.lru_cache(maxsize=None)
-def _mobius_table(bits: int) -> bytes:
-    """1 + mu(m) for 0 < m < 2^bits, by a sieve: every prime q flips the
-    sign at its multiples and zeroes it at the multiples of q^2."""
-    n = 1 << bits
-    prime = bytearray(b"\0\0") + bytearray(b"\1") * (n - 2)
-    for q in range(2, isqrt(n) + 1):
-        if prime[q]:
-            prime[q * q::q] = bytes(len(range(q * q, n, q)))
-    table = bytearray(b"\2") * n
-    for q in compress(range(n), prime):
-        table[q::q] = table[q::q].translate(_NEGATE)
-        table[q * q::q * q] = b"\1" * len(range(q * q, n, q * q))
-    return bytes(table)
+def factor(n: int) -> list[tuple[int, int]]:
+    """The prime powers l^a exactly dividing n >= 1, as (l, a) with l
+    ascending, by trial division up to the square root of the cofactor
+    still left: about max(second-largest prime factor, sqrt(largest)) / 2
+    divisions."""
+    if n < 1:
+        raise ValueError("factor requires n >= 1")
+    factors, l = [], 2
+    while True:
+        a = 0
+        while n % l == 0:
+            n //= l
+            a += 1
+        if a:
+            factors.append((l, a))
+        # the next odd candidate that divides, re-bounded by what is left
+        for l in range(l + 1 | 1, isqrt(n) + 1, 2):
+            if n % l == 0:
+                break
+        else:
+            break
+    if n > 1:
+        factors.append((n, 1))
+    return factors
 
 
 def legendre_symbol(a: int, p: int) -> int:
@@ -115,13 +118,17 @@ def dedekind_sum(h: int, k: int) -> int:
 
 
 def ramanujan_sum(k: int, n: int) -> int:
-    """c_k(n) = sum over d | gcd(n,k) of d * mu(k/d)."""
+    """c_k(n) = sum over d | gcd(n,k) of d * mu(k/d), the product over
+    l^a exactly dividing k of l^a - l^(a-1) where l^a | n, -l^(a-1) where
+    only l^(a-1) divides n, and 0 otherwise."""
     if k < 1:
         raise ValueError("ramanujan_sum requires k >= 1")
-    g = gcd(n % k, k) if k > 1 else 1
-    total = 0
-    for d in divisors(g):
-        total += d * mobius(k // d)
+    total = 1
+    for l, a in factor(k):
+        q = l ** (a - 1)
+        if n % q:
+            return 0
+        total *= q * l - q if n % (q * l) == 0 else -q
     return total
 
 
@@ -171,17 +178,3 @@ def bernoulli_poly(n: int, x) -> Fraction:
         total += comb(n, i) * bernoulli_number(n - i) * xpow
         xpow *= x
     return total
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    if n < 1:
-        raise ValueError("divisors requires n >= 1")
-    small = []
-    large = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]

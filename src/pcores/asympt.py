@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .arith import (bernoulli_poly, dedekind_sum, divisors, is_prime,
+from .arith import (bernoulli_poly, dedekind_sum, factor, is_prime,
                     legendre_symbol, ramanujan_sum, sawtooth)
 from .precision import (DEFAULT_PRECISION, GUARD_BITS, Fixed, PrecisionConfig,
                         Real, VerificationError, exp_fixed, pi_fixed,
@@ -70,10 +70,8 @@ def _cyclotomic_integer(c: list) -> int | None:
     of the power bases, where an integer has only the coordinate of 1.
     """
     N = len(c)
-    for l in filter(is_prime, divisors(N)):
-        q = l
-        while N % (q * l) == 0:
-            q *= l
+    for l, a in factor(N):
+        q = l ** a
         for j in range(N):
             if c[j] and j % q >= q - q // l:
                 for i in range(1, l):
@@ -187,6 +185,17 @@ def approx_singular_series(p: int, n: int, kmax: int,
     return _with_exact(report) if with_exact else report
 
 
+def _twisted_divisor_sum(p: int, N: int, e: int) -> int:
+    # sum over d | N of (d|p) * (N/d)^e, the Dirichlet convolution of two
+    # completely multiplicative functions: the product over the prime
+    # powers l^a exactly dividing N of sum_i (l|p)^i * l^(e(a-i))
+    total = 1
+    for l, a in factor(N):
+        chi = legendre_symbol(l, p)
+        total *= sum(chi ** i * l ** (e * (a - i)) for i in range(a + 1))
+    return total
+
+
 def approx_divisor_sum(p: int, n: int,
                        config: PrecisionConfig = DEFAULT_PRECISION,
                        with_exact: bool = True) -> ApproxReport:
@@ -194,6 +203,7 @@ def approx_divisor_sum(p: int, n: int,
 
         D = sum over d | (n + (p^2-1)/24) of (d|p) * ((n+(p^2-1)/24)/d)^((p-3)/2)
 
+    (a product of local factors over the factorization of its argument)
     divided by the integer leading constant, taken from its exact
     Bernoulli formula (variant iv) alone; leading_constant_report
     reconciles all six formulas.  The estimate is D/C rounded once to the
@@ -201,11 +211,7 @@ def approx_divisor_sum(p: int, n: int,
     _require_p(p)
     if n < 0:
         raise ValueError("n must be >= 0")
-    shifted = n + _shift(p)
-    e = (p - 3) // 2
-    total = 0
-    for d in divisors(shifted):
-        total += legendre_symbol(d, p) * (shifted // d) ** e
+    total = _twisted_divisor_sum(p, n + _shift(p), (p - 3) // 2)
     constant = _certified_constant(p, leading_constant(p, "iv"))
     estimate = round_binary(Fraction(total, constant), config.working_bits)
     report = ApproxReport(p=p, n=n, method="divisor", estimate=estimate,
@@ -561,10 +567,10 @@ def verify_dirichlet_series(p: int, s: int, n: int, kmax: int,
     W = prec + kmax.bit_length() + 4
     total = _twisted_ramanujan_sum(p, n, 1 + s, kmax, W)
     partial = round_binary(Fraction(total, 1 << W), prec)
-    dsum = sum(Fraction(legendre_symbol(d, p), d ** s) for d in divisors(n))
+    dsum = Fraction(_twisted_divisor_sum(p, n, s), n ** s)
     zeta_sum = _twisted_hurwitz_sum(p, 1 + s, prec + GUARD_BITS)
     closed = round_binary(p ** (1 + s) * dsum / zeta_sum, prec)
-    sigma = sum(divisors(n))
+    sigma = math.prod((l ** (a + 1) - 1) // (l - 1) for l, a in factor(n))
     tail = sigma * float(kmax) ** (-s) / s
     deviation = float(abs(partial - closed))
     return DirichletSeriesReport(

@@ -5,9 +5,11 @@ and lattice points), the partition product evaluated numerically, and
 exact rational evaluations of the formulas and transforms that the library
 sums in fixed point.
 
-The library returns plain coefficient tuples; these oracles share no code
-with it, so products formed here check its coefficients independently.
-The exact evaluations bound or pin the library's one final rounding.
+Divisors and the Mobius function come from trial division, against the
+library's products over its factorization.  The library returns plain
+coefficient tuples; these oracles share no code with it, so products
+formed here check its coefficients independently.  The exact evaluations
+bound or pin the library's one final rounding.
 """
 
 from __future__ import annotations
@@ -74,6 +76,30 @@ class PowerSeries:
         for c in reversed(self.coefficients):
             acc = acc * x + c
         return acc
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, ascending, by trial division to sqrt(n)."""
+    if n < 1:
+        raise ValueError("divisors requires n >= 1")
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def mobius(m: int) -> int:
+    """Mobius function by trial division: 0 if a square divides m, else
+    (-1)^(number of primes dividing m)."""
+    if m < 1:
+        raise ValueError("mobius requires m >= 1")
+    result, d = 1, 2
+    while d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return 0
+            result = -result
+        d += 1
+    return -result if m > 1 else result
 
 
 def pentagonal(nmax: int):

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bernoulli_numbers_by_recurrence
+from oracles import bernoulli_numbers_by_recurrence, divisors, mobius
 from pcores.arith import (bernoulli_number, bernoulli_poly, dedekind_sum,
-                          divisors, is_prime, legendre_symbol, mobius,
-                          ramanujan_sum, sawtooth)
+                          factor, is_prime, legendre_symbol, ramanujan_sum,
+                          sawtooth)
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
@@ -29,35 +29,59 @@ def _dedekind_definition(h, k):
     return Fraction(num, 4 * k * k)
 
 
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
+
+
 class TestMobius:
+    # mu(m) = c_m(1), the product over factor(m) that ramanujan_sum takes
+
     def test_examples(self):
-        assert [mobius(m) for m in range(1, 13)] == \
+        assert [ramanujan_sum(m, 1) for m in range(1, 13)] == \
             [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
 
     def test_divisor_sum_is_unit_indicator(self):
         for n in range(1, 200):
-            total = sum(mobius(d) for d in divisors(n))
+            total = sum(ramanujan_sum(d, 1) for d in divisors(n))
             assert total == (1 if n == 1 else 0)
 
     def test_matches_trial_division(self):
-        # the sieve against factorization by trial division, across the
-        # power-of-two sizes of the sieve's tables
-        def by_trial_division(m):
-            result, d = 1, 2
-            while d * d <= m:
-                if m % d == 0:
-                    m //= d
-                    if m % d == 0:
-                        return 0
-                    result = -result
-                d += 1
-            return -result if m > 1 else result
-
-        assert all(mobius(m) == by_trial_division(m) for m in range(1, 5000))
+        assert all(ramanujan_sum(m, 1) == mobius(m) for m in range(1, 5000))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            mobius(0)
+            factor(0)
+        with pytest.raises(ValueError):
+            ramanujan_sum(0, 1)
+
+
+def _divisors_from(factors):
+    # every product of the prime powers, ascending
+    found = [1]
+    for l, a in factors:
+        found = [d * l ** i for d in found for i in range(a + 1)]
+    return sorted(found)
+
+
+class TestFactor:
+    @given(n=st.integers(1, 10 ** 10))
+    def test_ascending_primes_multiply_back(self, n):
+        factors = factor(n)
+        primes = [l for l, _ in factors]
+        assert primes == sorted(set(primes))
+        assert all(is_prime(l) and a >= 1 for l, a in factors)
+        assert math.prod(l ** a for l, a in factors) == n
+
+    @pytest.mark.parametrize("n, factors", [
+        (2 ** 60, [(2, 60)]),
+        (3 ** 40, [(3, 40)]),
+        (10 ** 12 + 39, [(10 ** 12 + 39, 1)]),
+        (999983 * 1000003, [(999983, 1), (1000003, 1)]),
+        (2 * 999983 ** 2, [(2, 1), (999983, 2)]),
+        (10 ** 16 + 1, [(353, 1), (449, 1), (641, 1), (1409, 1), (69857, 1)]),
+    ])
+    def test_prime_powers_and_large_primes(self, n, factors):
+        assert factor(n) == factors
 
 
 class TestLegendre:
@@ -195,6 +219,14 @@ class TestRamanujanSum:
             for n in range(30):
                 assert ramanujan_sum(k, n) == ramanujan_sum(k, n + k)
 
+    def test_matches_mobius_definition(self):
+        # sum over d | gcd(n,k) of d * mu(k/d), by trial division
+        for k in range(1, 300):
+            for n in (0, 1, -6, 30, 360, 720720):
+                expected = sum(d * mobius(k // d)
+                               for d in divisors(math.gcd(n, k)))
+                assert ramanujan_sum(k, n) == expected, (k, n)
+
     @given(n=st.integers(0, 500))
     def test_multiplicative_in_k(self, n):
         # coprime moduli multiply: c_4(n) * c_9(n) = c_36(n)
@@ -278,19 +310,20 @@ class TestBernoulliPolynomials:
 
 
 class TestDivisors:
+    # the divisors of n as the products of the prime powers factor(n) gives
+
     def test_examples(self):
-        assert divisors(1) == [1]
-        assert divisors(12) == [1, 2, 3, 4, 6, 12]
-        assert divisors(49) == [1, 7, 49]
-        assert divisors(1012) == [1, 2, 4, 11, 22, 23, 44, 46, 92, 253,
-                                  506, 1012]
+        assert factor(1) == []
+        assert factor(12) == [(2, 2), (3, 1)]
+        assert factor(49) == [(7, 2)]
+        assert factor(1012) == [(2, 2), (11, 1), (23, 1)]
+        assert _divisors_from(factor(1012)) == [1, 2, 4, 11, 22, 23, 44, 46,
+                                                92, 253, 506, 1012]
 
     @given(n=st.integers(1, 5000))
     def test_sorted_and_complete(self, n):
-        ds = divisors(n)
-        assert ds == sorted(ds)
-        assert all(n % d == 0 for d in ds)
-        assert len(ds) == sum(1 for d in range(1, n + 1) if n % d == 0)
+        assert _divisors_from(factor(n)) == divisors(n)
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
 
 
 class TestIsPrime:
@@ -303,3 +336,13 @@ class TestIsPrime:
         assert is_prime(2 ** 31 - 1)
         assert not is_prime(2 ** 31)
         assert not is_prime(341)  # Fermat pseudoprime base 2
+
+    def test_psi_12_is_composite(self):
+        # a strong pseudoprime to each of the bases 2..37
+        assert not is_prime(PSI_12)
+        assert is_prime(798330580441)
+
+    def test_unproven_range_raises(self):
+        assert not is_prime(PSI_13 - 1)
+        with pytest.raises(ValueError, match="proven only below"):
+            is_prime(PSI_13)

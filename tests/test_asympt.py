@@ -8,6 +8,8 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pcores.asympt import (approx_divisor_sum, approx_singular_series,
                            bernoulli_char_sum, class_number,
@@ -18,10 +20,11 @@ from pcores.asympt import (approx_divisor_sum, approx_singular_series,
                            verify_quadratic_trig_identity,
                            verify_ramanujan_identity)
 import pcores.asympt as asympt
-from oracles import cot_derivative_horner, eta_transform_sides
-from pcores.arith import divisors, is_prime, legendre_symbol, ramanujan_sum
+from oracles import cot_derivative_horner, divisors, eta_transform_sides
+from pcores.arith import is_prime, legendre_symbol, ramanujan_sum
 from pcores.precision import (DEFAULT_PRECISION, GUARD_BITS,
-                              PrecisionConfig, Real, VerificationError)
+                              PrecisionConfig, Real, VerificationError,
+                              round_binary)
 from pcores.series import pcore_count
 from pcores.special import cot_polynomial
 
@@ -228,6 +231,18 @@ class TestDivisorSumEstimate:
         for p, constant in consensus.items():
             report = approx_divisor_sum(p, 1000, with_exact=False)
             assert report.constant == constant
+
+    @given(p=st.sampled_from(PRIMES_5_TO_31), N=st.integers(1, 10 ** 6),
+           e=st.integers(0, 15))
+    @example(p=5, N=1, e=1)
+    @example(p=7, N=7 ** 2 * 12, e=2)
+    @example(p=11, N=3 ** 12, e=4)
+    @example(p=13, N=2 ** 19, e=5)
+    def test_twisted_divisor_sum_matches_definition(self, p, N, e):
+        # sum over d | N of (d|p) * (N/d)^e, d by trial division
+        expected = sum(legendre_symbol(d, p) * (N // d) ** e
+                       for d in divisors(N))
+        assert asympt._twisted_divisor_sum(p, N, e) == expected
 
     @pytest.mark.parametrize("bad", [Fraction(17, 2), Fraction(0),
                                      Fraction(-8)])
@@ -462,6 +477,25 @@ class TestDirichletSeries:
                 for k in range(1, 201) if k % p)
             assert (abs(partial - expected)
                     <= Fraction(1, 2 ** (prec + 4)) + half_ulp)
+
+    @given(p=st.sampled_from(PRIMES_5_TO_31), n=st.integers(1, 10 ** 6),
+           s=st.integers(2, 4))
+    @example(p=5, n=1, s=2)
+    @example(p=5, n=360, s=2)
+    @example(p=7, n=7 ** 3, s=3)
+    @example(p=13, n=2 ** 19, s=2)
+    @settings(max_examples=40, deadline=None)
+    def test_divisor_sums_match_definitions(self, p, n, s):
+        # the closed form's sum over d | n of (d|p) * d^-s and the tail
+        # bound's sigma(n), against their sums over divisors
+        report = verify_dirichlet_series(p, s, n, 10)
+        prec = DEFAULT_PRECISION.working_bits
+        dsum = sum(Fraction(legendre_symbol(d, p), d ** s)
+                   for d in divisors(n))
+        zeta_sum = asympt._twisted_hurwitz_sum(p, 1 + s, prec + GUARD_BITS)
+        assert report.closed_form == round_binary(
+            p ** (1 + s) * dsum / zeta_sum, prec)
+        assert report.tail_bound == sum(divisors(n)) * 10.0 ** -s / s
 
     def test_domain(self):
         with pytest.raises(ValueError):

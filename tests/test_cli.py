@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib import metadata
 from pathlib import Path
@@ -360,6 +361,21 @@ class TestUsageErrors:
     def test_nonprime_p(self, capsys):
         code, out, err = run(capsys, "count", "--p", "9", "--n", "5")
         assert code == 2
+        assert json.loads(err)["error"] == "usage"
+
+    @pytest.mark.parametrize("argv", [
+        # psi_12, a strong pseudoprime to the bases 2..37
+        "verify dedekind-parity --p 318665857834031151167461 --kmax 3",
+        # psi_13, where no Miller-Rabin answer here is proven
+        "cp --p 3317044064679887385961981",
+    ])
+    def test_p_beyond_proven_primality(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv.split())
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "usage"
 
     def test_unknown_flag(self, capsys):
